@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from repro.observe.export import render_exposition
 from repro.observe.tracer import Tracer
@@ -103,6 +103,11 @@ class TriageDaemon:
         #: job's digest answers from the store, or reports its outcome).
         self._by_digest: Dict[str, str] = {}
         self._accepted_at: Dict[str, float] = {}
+        #: Ids of terminal jobs whose completion ``_finish`` has counted.
+        #: A pool job turns terminal in the executor thread before it is
+        #: settled; until then its status reads ``running``, so a client
+        #: that sees a terminal status also sees it in ``/metrics``.
+        self._settled: Set[str] = set()
         self._running = 0
         self.paused = config.paused
         self._server: Optional[asyncio.AbstractServer] = None
@@ -294,8 +299,11 @@ class TriageDaemon:
         if job is None:
             return protocol.json_response(
                 404, {"error": f"no job {job_id!r}"}, keep_alive)
+        outcome = job.outcome
+        if outcome.is_terminal and job_id not in self._settled:
+            outcome = JobOutcome.RUNNING
         payload = {
-            "job_id": job.job_id, "status": job.outcome.value,
+            "job_id": job.job_id, "status": outcome.value,
             "digest": job.payload.get("digest", ""),
             "bug_id": job.payload.get("bug_id", ""),
             "tenant": job.payload.get("tenant", DEFAULT_TENANT),
@@ -303,7 +311,7 @@ class TriageDaemon:
             "attempts": job.attempts, "seconds": job.seconds,
             "error": job.error,
         }
-        if job.outcome is JobOutcome.SUCCEEDED and job.result is not None:
+        if outcome is JobOutcome.SUCCEEDED and job.result is not None:
             payload["result"] = job.result
         return protocol.json_response(200, payload, keep_alive)
 
@@ -383,6 +391,7 @@ class TriageDaemon:
         self.queue.mark_done(job)
         self.tenants.note_done(job.payload.get("tenant", DEFAULT_TENANT))
         self._running -= 1
+        self._settled.add(job.job_id)
 
     # -- metrics --------------------------------------------------------
     def render_metrics(self) -> str:

@@ -6,36 +6,35 @@ find the address it refers to, and installs a *watchpoint* there so that a
 conflicting access from any other context traps too — that is how data
 races are detected during LIFS (paper section 4.3, Figure 8).
 
-Here a breakpoint is keyed by code address (optionally per thread and per
+Here a breakpoint is keyed by thread and code address (optionally per
 occurrence) and a watchpoint by data address.  Hits are recorded; the
-controller decides what to do with them.
+controller decides what to do with them.  The installed breakpoints are
+the controller's trap gate: its run loop probes ``(thread, instr_addr)``
+once per instruction and does enforcement work only on a hit, the way the
+real guest runs freely between hardware traps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.kernel.access import MemoryAccess
 
 
 @dataclass(frozen=True)
 class Breakpoint:
-    """A code breakpoint; ``thread=None`` traps every thread and
-    ``occurrence=None`` traps every dynamic execution."""
+    """A code breakpoint on one thread; ``occurrence=None`` traps every
+    dynamic execution."""
 
     instr_addr: int
-    thread: Optional[str] = None
+    thread: str
     occurrence: Optional[int] = None
 
     def matches(self, thread: str, instr_addr: int, occurrence: int) -> bool:
-        if self.instr_addr != instr_addr:
+        if self.instr_addr != instr_addr or self.thread != thread:
             return False
-        if self.thread is not None and self.thread != thread:
-            return False
-        if self.occurrence is not None and self.occurrence != occurrence:
-            return False
-        return True
+        return self.occurrence is None or self.occurrence == occurrence
 
 
 @dataclass(frozen=True)
@@ -59,32 +58,42 @@ class WatchpointHit:
 
 
 class BreakpointManager:
-    """Installed code breakpoints of one VM."""
+    """Installed code breakpoints of one VM, keyed by ``(thread,
+    instr_addr)``.
+
+    :attr:`armed` is the live key map: ``(thread, instr_addr) in armed``
+    is the one-probe trap check, true exactly when some installed
+    breakpoint could match that execution; only then is the occurrence
+    worth computing."""
 
     def __init__(self) -> None:
-        self._by_addr: Dict[int, List[Breakpoint]] = {}
+        self.armed: Dict[Tuple[str, int], List[Breakpoint]] = {}
 
     def install(self, bp: Breakpoint) -> None:
-        self._by_addr.setdefault(bp.instr_addr, []).append(bp)
+        self.armed.setdefault((bp.thread, bp.instr_addr), []).append(bp)
 
     def remove(self, bp: Breakpoint) -> None:
-        bucket = self._by_addr.get(bp.instr_addr, [])
-        if bp in bucket:
-            bucket.remove(bp)
+        key = (bp.thread, bp.instr_addr)
+        bucket = self.armed.get(key)
+        if bucket is None or bp not in bucket:
+            return
+        bucket.remove(bp)
+        if not bucket:
+            del self.armed[key]
 
     def clear(self) -> None:
-        self._by_addr.clear()
+        self.armed.clear()
 
     def hit(self, thread: str, instr_addr: int,
             occurrence: int) -> Optional[Breakpoint]:
         """The first installed breakpoint matching this execution, if any."""
-        for bp in self._by_addr.get(instr_addr, ()):
+        for bp in self.armed.get((thread, instr_addr), ()):
             if bp.matches(thread, instr_addr, occurrence):
                 return bp
         return None
 
     def __len__(self) -> int:
-        return sum(len(v) for v in self._by_addr.values())
+        return sum(len(v) for v in self.armed.values())
 
 
 class WatchpointManager:

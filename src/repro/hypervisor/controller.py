@@ -21,6 +21,14 @@ it follow a :class:`~repro.core.schedule.Schedule`:
 While a preempted instruction is parked, a watchpoint is installed on the
 data address it was about to touch; conflicting accesses from other threads
 are trapped and reported, which is how LIFS identifies data races.
+
+Like the real hypervisor, which lets the guest run freely between hardware
+traps, the run loop does enforcement work only where a breakpoint is
+armed.  It keeps running the active thread without re-choosing, probes the
+installed breakpoints once per instruction by ``(thread, instr_addr)``,
+and computes the occurrence and matches preemptions or constraints only
+on a hit; the instruction then goes to the machine's post-validation entry
+point.
 """
 
 from __future__ import annotations
@@ -97,12 +105,22 @@ class RunResult:
         accesses.  Two runs with equal signatures are equivalent in the
         DPOR sense LIFS prunes by (section 3.3)."""
         per_thread: Dict[str, List[int]] = {}
+        get = per_thread.get
         for entry in self.trace:
-            per_thread.setdefault(entry.thread, []).append(entry.instr_addr)
+            seq = get(entry.thread)
+            if seq is None:
+                per_thread[entry.thread] = [entry.instr_addr]
+            else:
+                seq.append(entry.instr_addr)
         per_location: Dict[int, List[Tuple[str, int]]] = {}
+        get = per_location.get
         for access in self.accesses:
-            per_location.setdefault(access.data_addr, []).append(
-                (access.thread, access.instr_addr))
+            seq = get(access.data_addr)
+            if seq is None:
+                per_location[access.data_addr] = [
+                    (access.thread, access.instr_addr)]
+            else:
+                seq.append((access.thread, access.instr_addr))
         return (
             tuple(sorted((t, tuple(seq)) for t, seq in per_thread.items())),
             tuple(sorted((loc, tuple(seq))
@@ -281,9 +299,12 @@ class ScheduleController:
         for p in self._pending_preemptions:
             self.breakpoints.install(Breakpoint(p.instr_addr, p.thread,
                                                 p.occurrence))
-        for c in self._constraints:
-            self.breakpoints.install(Breakpoint(c.instr_addr, c.thread,
-                                                c.occurrence))
+        #: One breakpoint per constraint, disarmed as the head passes it.
+        self._constraint_bps = [Breakpoint(c.instr_addr, c.thread,
+                                           c.occurrence)
+                                for c in self._constraints]
+        for bp in self._constraint_bps:
+            self.breakpoints.install(bp)
 
     @property
     def resumed_from_steps(self) -> int:
@@ -406,13 +427,19 @@ class ScheduleController:
             return True
         return False
 
+    def _pass_head(self) -> None:
+        """Retire the head constraint: disarm its breakpoint, advance the
+        queue and release the threads parked behind it."""
+        self.breakpoints.remove(self._constraint_bps[self._head])
+        self._head += 1
+        self.trampoline.release_constraint_parked()
+
     def _drop_head(self, disappeared: bool) -> None:
         head = self._constraints[self._head]
         self._dropped.append(head)
         if not disappeared:
             self._infeasible.append(head)
-        self._head += 1
-        self.trampoline.release_constraint_parked()
+        self._pass_head()
 
     def _resolve_stuck(self) -> bool:
         """No thread was choosable.  Returns True when progress was made."""
@@ -440,58 +467,80 @@ class ScheduleController:
             # Entry checkpoint: for the very first run this is the boot
             # state, reusable under any schedule.
             self._maybe_capture()
-        while not machine.halted and not machine.all_done():
-            name = self._choose()
-            if name is None:
-                if not self._resolve_stuck():
+        # Loop-invariant bindings: none of these objects is rebound while
+        # the run executes (spawns and parking mutate them in place).
+        by_name = machine._by_name
+        functions = machine.image.functions
+        execute = machine._execute
+        armed = self.breakpoints.armed
+        parked = self.trampoline.parked
+        constraints = self._constraints
+        n_constraints = len(constraints)
+        observe = self.watchpoints.observe
+        policy = self._policy
+        probe = self._splice_probe
+        ready = ThreadState.READY
+        while machine.failure is None:
+            # Fast path: the active thread keeps running while it is READY
+            # and unparked and no other thread owns the head constraint —
+            # exactly when _choose would pick it again.
+            name = self._active
+            ctx = by_name.get(name)
+            head = self._head
+            if ctx is None or ctx.state is not ready or name in parked or (
+                    head < n_constraints and constraints[head].thread != name):
+                if machine.all_done():
                     break
-                continue
-            instr = machine.peek(name)
-            if instr is None:
-                self._active = None
-                continue
-            occurrence = machine.next_occurrence(name, instr.addr)
+                name = self._choose()
+                if name is None:
+                    if not self._resolve_stuck():
+                        break
+                    continue
+                ctx = by_name[name]
+            frame = ctx.frames[-1]
+            instr = functions[frame.func].instructions[frame.pc]
 
-            preemption = self._match_preemption(name, instr.addr, occurrence)
-            if preemption is not None:
-                self._fire_preemption(preemption, name, instr)
-                continue
+            # The trap gate: one probe, and enforcement work only on a hit.
+            constraint_index = None
+            if (name, instr.addr) in armed:
+                occurrence = ctx.exec_counts.get(instr.addr, 0) + 1
+                preemption = self._match_preemption(name, instr.addr,
+                                                    occurrence)
+                if preemption is not None:
+                    self._fire_preemption(preemption, name, instr)
+                    continue
+                constraint_index = self._match_constraint(name, instr.addr,
+                                                          occurrence)
+                if constraint_index is not None and \
+                        constraint_index != self._head:
+                    self.trampoline.park_on_constraint(name, constraint_index,
+                                                       instr.addr)
+                    if self._active == name:
+                        self._active = None
+                    continue
 
-            constraint_index = self._match_constraint(name, instr.addr,
-                                                      occurrence)
-            if constraint_index is not None and constraint_index != self._head:
-                self.trampoline.park_on_constraint(name, constraint_index,
-                                                   instr.addr)
-                if self._active == name:
-                    self._active = None
-                continue
-
-            outcome = machine.step(name)
+            outcome = execute(ctx, frame, instr)
             self._steps += 1
             if self._steps > MAX_RUN_STEPS:
                 raise RuntimeError(
                     f"run exceeded {MAX_RUN_STEPS} steps under schedule "
                     f"{self.schedule.describe()}")
-            if constraint_index is not None and outcome.executed:
-                self._head += 1
-                self.trampoline.release_constraint_parked()
             if outcome.executed:
-                self._active = name
+                if constraint_index is not None:
+                    self._pass_head()
+                self._active = None if outcome.thread_done else name
                 for access in outcome.accesses:
-                    self.watchpoints.observe(access)
-            if outcome.blocked and self._active == name:
+                    observe(access)
+            elif outcome.blocked and self._active == name:
                 self._active = None
-            if outcome.thread_done and self._active == name:
-                self._active = None
-            self._steps_since_capture += 1
-            if self._policy is not None and \
-                    self._steps_since_capture >= self._policy.interval:
-                self._maybe_capture()
-            if self._splice_probe is not None and not machine.halted \
+            if policy is not None:
+                self._steps_since_capture += 1
+                if self._steps_since_capture >= policy.interval:
+                    self._maybe_capture()
+            if probe is not None and machine.failure is None \
                     and not self._pending_preemptions \
-                    and self._head >= len(self._constraints) \
-                    and self.trampoline.parked_count == 0:
-                tail = self._splice_probe(machine, self)
+                    and self._head >= n_constraints and not parked:
+                tail = probe(machine, self)
                 if tail is not None:
                     self._apply_splice(tail)
                     break
@@ -550,6 +599,8 @@ class ScheduleController:
         # diverge later resume from here instead of an earlier capture.
         self._maybe_capture()
         self._pending_preemptions.remove(preemption)
+        self.breakpoints.remove(Breakpoint(preemption.instr_addr, thread,
+                                           preemption.occurrence))
         self._fired.append((preemption, self.machine.trace[-1].seq
                             if self.machine.trace else 0))
         self.trampoline.park_preempted(thread, instr.addr)

@@ -41,33 +41,35 @@ class Trampoline:
 
     def __init__(self) -> None:
         self._stack: List[ParkedThread] = []
-        self._parked: Dict[str, ParkedThread] = {}
+        #: thread name -> its parking record.  Mutated in place, never
+        #: rebound, so a run loop may bind it once and probe membership.
+        self.parked: Dict[str, ParkedThread] = {}
 
     def park_preempted(self, thread: str, instr_addr: int) -> None:
         entry = ParkedThread(thread, ParkReason.PREEMPTED, instr_addr=instr_addr)
         self._stack.append(entry)
-        self._parked[thread] = entry
+        self.parked[thread] = entry
 
     def park_on_constraint(self, thread: str, constraint_index: int,
                            instr_addr: int) -> None:
         entry = ParkedThread(thread, ParkReason.CONSTRAINT,
                              constraint_index=constraint_index,
                              instr_addr=instr_addr)
-        self._parked[thread] = entry
+        self.parked[thread] = entry
 
     def is_parked(self, thread: str) -> bool:
-        return thread in self._parked
+        return thread in self.parked
 
     def parked_reason(self, thread: str) -> Optional[ParkReason]:
-        entry = self._parked.get(thread)
+        entry = self.parked.get(thread)
         return entry.reason if entry else None
 
     def constraint_index(self, thread: str) -> Optional[int]:
-        entry = self._parked.get(thread)
+        entry = self.parked.get(thread)
         return entry.constraint_index if entry else None
 
     def release(self, thread: str) -> None:
-        entry = self._parked.pop(thread, None)
+        entry = self.parked.pop(thread, None)
         if entry is not None and entry in self._stack:
             self._stack.remove(entry)
 
@@ -75,11 +77,11 @@ class Trampoline:
         """Release every constraint-parked thread (the queue head changed);
         returns the released thread names."""
         released = [
-            name for name, entry in self._parked.items()
+            name for name, entry in self.parked.items()
             if entry.reason is ParkReason.CONSTRAINT
         ]
         for name in released:
-            del self._parked[name]
+            del self.parked[name]
         return released
 
     def resume_candidates(self) -> List[str]:
@@ -87,15 +89,15 @@ class Trampoline:
         return [entry.thread for entry in reversed(self._stack)]
 
     def parked_threads(self) -> List[str]:
-        return list(self._parked)
+        return list(self.parked)
 
     @property
     def parked_count(self) -> int:
-        return len(self._parked)
+        return len(self.parked)
 
     def clear(self) -> None:
         self._stack.clear()
-        self._parked.clear()
+        self.parked.clear()
 
     def snapshot(self) -> dict:
         """Plain-data capture for run checkpoints.  ``parked`` preserves
@@ -104,17 +106,17 @@ class Trampoline:
         return {
             "parked": [
                 (e.thread, e.reason, e.constraint_index, e.instr_addr)
-                for e in self._parked.values()
+                for e in self.parked.values()
             ],
             "stack": [e.thread for e in self._stack],
         }
 
     def restore(self, snap: dict) -> None:
-        self._parked = {}
+        self.parked.clear()
         for thread, reason, constraint_index, instr_addr in snap["parked"]:
-            self._parked[thread] = ParkedThread(
+            self.parked[thread] = ParkedThread(
                 thread, reason, constraint_index=constraint_index,
                 instr_addr=instr_addr)
         # Stack entries must alias the parked entries: ``release`` removes
         # by identity membership.
-        self._stack = [self._parked[name] for name in snap["stack"]]
+        self._stack = [self.parked[name] for name in snap["stack"]]

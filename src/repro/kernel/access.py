@@ -5,13 +5,17 @@ Every executed ``LOAD``/``STORE``/``INC``/``LIST_*`` instruction produces one
 above the machine: the hypervisor's watchpoints trap on them, LIFS derives
 conflicting instructions from them, and Causality Analysis replays races
 expressed in terms of them.
+
+The interpreter builds one record per executed access, so the record is a
+:class:`~typing.NamedTuple`: immutable and hashed and compared by value,
+yet cheap enough to construct on the hot path (the machine bypasses the
+generated ``__new__`` via ``tuple.__new__``).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import FrozenSet
+from typing import FrozenSet, NamedTuple
 
 
 class AccessKind(enum.Enum):
@@ -21,15 +25,21 @@ class AccessKind(enum.Enum):
 
     @property
     def is_read(self) -> bool:
-        return self in (AccessKind.READ, AccessKind.READ_WRITE)
+        return self is not AccessKind.WRITE
 
     @property
     def is_write(self) -> bool:
-        return self in (AccessKind.WRITE, AccessKind.READ_WRITE)
+        return self is not AccessKind.READ
 
 
-@dataclass(frozen=True)
-class MemoryAccess:
+_READ = AccessKind.READ
+_WRITE = AccessKind.WRITE
+
+#: The lockset of every access made while holding no lock (shared).
+EMPTY_LOCKSET: FrozenSet[str] = frozenset()
+
+
+class MemoryAccess(NamedTuple):
     """One dynamic memory access.
 
     ``seq`` is the global execution index (the position in the totally
@@ -49,15 +59,15 @@ class MemoryAccess:
     data_addr: int
     kind: AccessKind
     occurrence: int
-    lockset: FrozenSet[str] = frozenset()
+    lockset: FrozenSet[str] = EMPTY_LOCKSET
 
     @property
     def is_read(self) -> bool:
-        return self.kind.is_read
+        return self.kind is not _WRITE
 
     @property
     def is_write(self) -> bool:
-        return self.kind.is_write
+        return self.kind is not _READ
 
     def conflicts_with(self, other: "MemoryAccess") -> bool:
         """Conflicting accesses: same location, different threads, at least

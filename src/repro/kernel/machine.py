@@ -16,14 +16,21 @@ assembly-time decoded operand tuples (see
 :func:`repro.kernel.instructions.decode_operands`): one dict probe per
 step instead of an if/elif ladder, no ``isinstance`` operand tests, and
 branch targets resolved to instruction indices ahead of time.
+
+The per-step records (:class:`TraceEntry`, :class:`SpawnEvent` and
+:class:`~repro.kernel.access.MemoryAccess`) are immutable named tuples
+built with ``tuple.__new__``, and :class:`StepOutcome` is slotted with
+tuple ``accesses``/``spawned``: an executed instruction allocates little
+beyond its trace entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
-from repro.kernel.access import AccessKind, MemoryAccess
+from repro.kernel.access import EMPTY_LOCKSET, AccessKind, MemoryAccess
 from repro.kernel.failures import Failure, FailureKind, KernelFault
 from repro.kernel.instructions import (
     IMM,
@@ -54,8 +61,7 @@ class ThreadSpec:
     regs: Dict[str, Any] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class SpawnEvent:
+class SpawnEvent(NamedTuple):
     """A background-thread invocation (``queue_work`` / ``call_rcu``)."""
 
     seq: int
@@ -65,8 +71,7 @@ class SpawnEvent:
     instr_label: str
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One executed instruction in the totally ordered run trace."""
 
     seq: int
@@ -77,27 +82,46 @@ class TraceEntry:
     occurrence: int
 
 
-@dataclass
 class StepOutcome:
     """What happened when one instruction was (or was not) executed."""
 
-    executed: bool
-    instr: Optional[Instruction] = None
-    accesses: List[MemoryAccess] = field(default_factory=list)
-    spawned: List[int] = field(default_factory=list)
-    blocked: bool = False
-    thread_done: bool = False
-    failure: Optional[Failure] = None
+    __slots__ = ("executed", "instr", "accesses", "spawned", "blocked",
+                 "thread_done", "failure")
+
+    def __init__(self, executed: bool, instr: Optional[Instruction] = None,
+                 accesses: Tuple[MemoryAccess, ...] = (),
+                 spawned: Tuple[int, ...] = (), blocked: bool = False,
+                 thread_done: bool = False,
+                 failure: Optional[Failure] = None) -> None:
+        self.executed = executed
+        self.instr = instr
+        self.accesses = accesses
+        self.spawned = spawned
+        self.blocked = blocked
+        self.thread_done = thread_done
+        self.failure = failure
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"StepOutcome({fields})"
+
+
+_new = tuple.__new__
 
 
 # ----------------------------------------------------------------------
 # Per-opcode handlers.  Each receives (machine, ctx, frame, instr) and
-# consumes instr.decoded; `step` routes through _DISPATCH with a single
+# consumes instr.decoded; `_execute` routes through _DISPATCH with a single
 # dict probe.
 # ----------------------------------------------------------------------
+_READ = AccessKind.READ
+_WRITE = AccessKind.WRITE
+_READ_WRITE = AccessKind.READ_WRITE
+
+
 def _op_lock(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     # LOCK is special: a failed acquisition blocks without executing.
-    out = StepOutcome(executed=True, instr=instr)
     name = instr.decoded[0]
     if m.locks.try_acquire(name, ctx.tid):
         ctx.locks_held.append(name)
@@ -105,12 +129,10 @@ def _op_lock(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
         ctx.blocked_on = None
         m._record_trace(ctx, instr)
         frame.pc += 1
-    else:
-        ctx.state = ThreadState.BLOCKED
-        ctx.blocked_on = name
-        out.executed = False
-        out.blocked = True
-    return out
+        return StepOutcome(True, instr)
+    ctx.state = ThreadState.BLOCKED
+    ctx.blocked_on = name
+    return StepOutcome(False, instr, blocked=True)
 
 
 def _op_unlock(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
@@ -124,44 +146,38 @@ def _op_unlock(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
         waiter.blocked_on = None
         waiter.gen += 1
     frame.pc += 1
-    return StepOutcome(executed=True, instr=instr)
+    return StepOutcome(True, instr)
 
 
 def _op_load(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     occurrence = m._record_trace(ctx, instr)
-    out = StepOutcome(executed=True, instr=instr)
     dst, expr = instr.decoded
     addr = m._daddr(ctx, expr)
-    out.accesses.append(
-        m._record_access(ctx, instr, addr, AccessKind.READ, occurrence))
+    access = m._record_access(ctx, instr, addr, _READ, occurrence)
     ctx.regs[dst] = m.memory.load(addr)
     frame.pc += 1
-    return out
+    return StepOutcome(True, instr, (access,))
 
 
 def _op_store(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     occurrence = m._record_trace(ctx, instr)
-    out = StepOutcome(executed=True, instr=instr)
     expr, src = instr.decoded
     addr = m._daddr(ctx, expr)
-    out.accesses.append(
-        m._record_access(ctx, instr, addr, AccessKind.WRITE, occurrence))
+    access = m._record_access(ctx, instr, addr, _WRITE, occurrence)
     m.memory.store(addr, m._dval(ctx, src))
     frame.pc += 1
-    return out
+    return StepOutcome(True, instr, (access,))
 
 
 def _op_inc(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     occurrence = m._record_trace(ctx, instr)
-    out = StepOutcome(executed=True, instr=instr)
     expr, delta = instr.decoded
     addr = m._daddr(ctx, expr)
-    out.accesses.append(
-        m._record_access(ctx, instr, addr, AccessKind.READ_WRITE,
-                         occurrence))
-    m.memory.store(addr, m.memory.load(addr) + delta)
+    access = m._record_access(ctx, instr, addr, _READ_WRITE, occurrence)
+    memory = m.memory
+    memory.store(addr, memory.load(addr) + delta)
     frame.pc += 1
-    return out
+    return StepOutcome(True, instr, (access,))
 
 
 def _op_mov(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
@@ -169,7 +185,7 @@ def _op_mov(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     dst, src = instr.decoded
     ctx.regs[dst] = m._dval(ctx, src)
     frame.pc += 1
-    return StepOutcome(executed=True, instr=instr)
+    return StepOutcome(True, instr)
 
 
 def _op_lea(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
@@ -177,7 +193,7 @@ def _op_lea(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     dst, glob = instr.decoded
     ctx.regs[dst] = m.memory.global_addr(glob)
     frame.pc += 1
-    return StepOutcome(executed=True, instr=instr)
+    return StepOutcome(True, instr)
 
 
 def _op_binop(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
@@ -185,7 +201,7 @@ def _op_binop(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     dst, fn, lhs, rhs = instr.decoded
     ctx.regs[dst] = fn(m._dval(ctx, lhs), m._dval(ctx, rhs))
     frame.pc += 1
-    return StepOutcome(executed=True, instr=instr)
+    return StepOutcome(True, instr)
 
 
 def _op_brz(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
@@ -194,7 +210,7 @@ def _op_brz(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
         frame.pc = instr.target_index
     else:
         frame.pc += 1
-    return StepOutcome(executed=True, instr=instr)
+    return StepOutcome(True, instr)
 
 
 def _op_brnz(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
@@ -203,30 +219,30 @@ def _op_brnz(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
         frame.pc = instr.target_index
     else:
         frame.pc += 1
-    return StepOutcome(executed=True, instr=instr)
+    return StepOutcome(True, instr)
 
 
 def _op_jmp(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     m._record_trace(ctx, instr)
     frame.pc = instr.target_index
-    return StepOutcome(executed=True, instr=instr)
+    return StepOutcome(True, instr)
 
 
 def _op_call(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     m._record_trace(ctx, instr)
     frame.pc += 1
     ctx.frames.append(Frame(instr.decoded[0], 0))
-    return StepOutcome(executed=True, instr=instr)
+    return StepOutcome(True, instr)
 
 
 def _op_ret(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     m._record_trace(ctx, instr)
-    out = StepOutcome(executed=True, instr=instr)
-    ctx.frames.pop()
-    if not ctx.frames:
-        ctx.state = ThreadState.DONE
-        out.thread_done = True
-    return out
+    frames = ctx.frames
+    frames.pop()
+    if frames:
+        return StepOutcome(True, instr)
+    ctx.state = ThreadState.DONE
+    return StepOutcome(True, instr, thread_done=True)
 
 
 def _op_alloc(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
@@ -235,32 +251,28 @@ def _op_alloc(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     ctx.regs[dst] = m.memory.alloc(size, tag, site=instr.name,
                                    leak_tracked=leak_tracked)
     frame.pc += 1
-    return StepOutcome(executed=True, instr=instr)
+    return StepOutcome(True, instr)
 
 
 def _op_free(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     occurrence = m._record_trace(ctx, instr)
-    out = StepOutcome(executed=True, instr=instr)
     ptr = m._dval(ctx, instr.decoded[0])
     # Freeing writes the *whole* object (as KASAN poisons it), so the free
     # conflicts with accesses to any field of the object, not just its base.
     obj = m.memory.object_at(ptr, include_freed=True)
     if obj is not None and obj.base == ptr:
-        for offset in range(0, obj.size, 8):
-            out.accesses.append(
-                m._record_access(ctx, instr, ptr + offset,
-                                 AccessKind.WRITE, occurrence))
+        accesses = tuple(
+            m._record_access(ctx, instr, ptr + offset, _WRITE, occurrence)
+            for offset in range(0, obj.size, 8))
     else:
-        out.accesses.append(
-            m._record_access(ctx, instr, ptr, AccessKind.WRITE, occurrence))
+        accesses = (m._record_access(ctx, instr, ptr, _WRITE, occurrence),)
     m.memory.free(ptr, site=instr.name)
     frame.pc += 1
-    return out
+    return StepOutcome(True, instr, accesses)
 
 
 def _op_spawn(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     m._record_trace(ctx, instr)
-    out = StepOutcome(executed=True, instr=instr)
     func_name, arg = instr.decoded
     kind = (ThreadKind.KWORKER if instr.op is Op.QUEUE_WORK
             else ThreadKind.RCU)
@@ -273,9 +285,8 @@ def _op_spawn(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     m.spawn_events.append(SpawnEvent(
         seq=m._seq, parent=ctx.name, child=child_name,
         kind=kind, instr_label=instr.name))
-    out.spawned.append(child.tid)
     frame.pc += 1
-    return out
+    return StepOutcome(True, instr, spawned=(child.tid,))
 
 
 def _op_bug_on(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
@@ -285,32 +296,26 @@ def _op_bug_on(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
         raise KernelFault(FailureKind.ASSERTION,
                           message or f"BUG_ON at {instr.name}")
     frame.pc += 1
-    return StepOutcome(executed=True, instr=instr)
+    return StepOutcome(True, instr)
 
 
 def _op_list_add(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     occurrence = m._record_trace(ctx, instr)
-    out = StepOutcome(executed=True, instr=instr)
     expr, elem = instr.decoded
     addr = m._daddr(ctx, expr)
-    out.accesses.append(
-        m._record_access(ctx, instr, addr, AccessKind.READ_WRITE,
-                         occurrence))
+    access = m._record_access(ctx, instr, addr, _READ_WRITE, occurrence)
     current = m.memory.load(addr)
     items = current if isinstance(current, tuple) else ()
     m.memory.store(addr, items + (m._dval(ctx, elem),))
     frame.pc += 1
-    return out
+    return StepOutcome(True, instr, (access,))
 
 
 def _op_list_del(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     occurrence = m._record_trace(ctx, instr)
-    out = StepOutcome(executed=True, instr=instr)
     expr, elem = instr.decoded
     addr = m._daddr(ctx, expr)
-    out.accesses.append(
-        m._record_access(ctx, instr, addr, AccessKind.READ_WRITE,
-                         occurrence))
+    access = m._record_access(ctx, instr, addr, _READ_WRITE, occurrence)
     current = m.memory.load(addr)
     items = list(current) if isinstance(current, tuple) else []
     value = m._dval(ctx, elem)
@@ -318,57 +323,49 @@ def _op_list_del(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
         items.remove(value)
     m.memory.store(addr, tuple(items))
     frame.pc += 1
-    return out
+    return StepOutcome(True, instr, (access,))
 
 
 def _op_list_contains(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     occurrence = m._record_trace(ctx, instr)
-    out = StepOutcome(executed=True, instr=instr)
     dst, expr, elem = instr.decoded
     addr = m._daddr(ctx, expr)
-    out.accesses.append(
-        m._record_access(ctx, instr, addr, AccessKind.READ, occurrence))
+    access = m._record_access(ctx, instr, addr, _READ, occurrence)
     current = m.memory.load(addr)
     items = current if isinstance(current, tuple) else ()
     ctx.regs[dst] = int(m._dval(ctx, elem) in items)
     frame.pc += 1
-    return out
+    return StepOutcome(True, instr, (access,))
 
 
 def _op_cmpxchg(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     occurrence = m._record_trace(ctx, instr)
-    out = StepOutcome(executed=True, instr=instr)
     dst, expr, expected, new_value = instr.decoded
     addr = m._daddr(ctx, expr)
-    out.accesses.append(
-        m._record_access(ctx, instr, addr, AccessKind.READ_WRITE,
-                         occurrence))
+    access = m._record_access(ctx, instr, addr, _READ_WRITE, occurrence)
     old_value = m.memory.load(addr)
     if old_value == m._dval(ctx, expected):
         m.memory.store(addr, m._dval(ctx, new_value))
     ctx.regs[dst] = old_value
     frame.pc += 1
-    return out
+    return StepOutcome(True, instr, (access,))
 
 
 def _op_xchg(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     occurrence = m._record_trace(ctx, instr)
-    out = StepOutcome(executed=True, instr=instr)
     dst, expr, new_value = instr.decoded
     addr = m._daddr(ctx, expr)
-    out.accesses.append(
-        m._record_access(ctx, instr, addr, AccessKind.READ_WRITE,
-                         occurrence))
+    access = m._record_access(ctx, instr, addr, _READ_WRITE, occurrence)
     ctx.regs[dst] = m.memory.load(addr)
     m.memory.store(addr, m._dval(ctx, new_value))
     frame.pc += 1
-    return out
+    return StepOutcome(True, instr, (access,))
 
 
 def _op_nop(m: "KernelMachine", ctx, frame, instr) -> StepOutcome:
     m._record_trace(ctx, instr)
     frame.pc += 1
-    return StepOutcome(executed=True, instr=instr)
+    return StepOutcome(True, instr)
 
 
 _DISPATCH: Dict[Op, Callable] = {
@@ -612,22 +609,28 @@ class KernelMachine:
         ctx = self.thread(ref)
         if ctx.done:
             raise RuntimeError(f"thread {ctx.name} is done")
+        frames = ctx.frames
+        if not frames:
+            raise RuntimeError(f"thread {ctx.name} has no active frame")
+        frame = frames[-1]
+        return self._execute(
+            ctx, frame, self.image.functions[frame.func].instructions[frame.pc])
+
+    def _execute(self, ctx: ThreadContext, frame: Frame,
+                 instr: Instruction) -> StepOutcome:
+        """Execute ``instr``, the instruction at ``frame``'s pc, for ``ctx``.
+
+        The post-validation entry point: the caller has established what
+        :meth:`step` checks — the machine is not halted, the thread is not
+        done, and ``frame`` is its top frame."""
         ctx.gen += 1  # invalidate this thread's cached capture/key
         ctx.steps += 1
         if ctx.steps > MAX_THREAD_STEPS:
             raise RuntimeError(
                 f"thread {ctx.name} exceeded {MAX_THREAD_STEPS} steps; "
                 f"the model likely has an unbounded loop")
-
-        frames = ctx.frames
-        if not frames:
-            raise RuntimeError(f"thread {ctx.name} has no active frame")
-        frame = frames[-1]
-        instr = self.image.functions[frame.func].instructions[frame.pc]
-
         if self.coverage_cb is not None and instr.leads_block:
             self.coverage_cb(ctx.name, instr.block_start)
-
         try:
             return _DISPATCH[instr.op](self, ctx, frame, instr)
         except KernelFault as fault:
@@ -638,33 +641,26 @@ class KernelMachine:
                 message=fault.message, data_addr=fault.data_addr,
                 object_tag=fault.object_tag,
             )
-            return StepOutcome(executed=True, instr=instr,
-                               failure=self.failure)
-
-    def _execute(self, ctx: ThreadContext, frame: Frame,
-                 instr: Instruction) -> StepOutcome:
-        """Execute one decoded instruction (dispatch-table entry point)."""
-        return _DISPATCH[instr.op](self, ctx, frame, instr)
+            return StepOutcome(True, instr, failure=self.failure)
 
     def _record_trace(self, ctx: ThreadContext, instr: Instruction) -> int:
-        self._seq += 1
-        count = ctx.exec_counts.get(instr.addr, 0) + 1
-        ctx.exec_counts[instr.addr] = count
-        self.trace.append(TraceEntry(
-            seq=self._seq, thread=ctx.name, instr_addr=instr.addr,
-            instr_label=instr.name, func=instr.func, occurrence=count,
-        ))
+        seq = self._seq = self._seq + 1
+        addr = instr.addr
+        counts = ctx.exec_counts
+        count = counts.get(addr, 0) + 1
+        counts[addr] = count
+        self.trace.append(_new(TraceEntry, (
+            seq, ctx.name, addr, instr.name, instr.func, count)))
         return count
 
     def _record_access(self, ctx: ThreadContext, instr: Instruction,
                        data_addr: int, kind: AccessKind,
                        occurrence: int) -> MemoryAccess:
-        access = MemoryAccess(
-            seq=self._seq, thread=ctx.name, instr_addr=instr.addr,
-            instr_label=instr.name, func=instr.func, data_addr=data_addr,
-            kind=kind, occurrence=occurrence,
-            lockset=frozenset(ctx.locks_held),
-        )
+        held = ctx.locks_held
+        access = _new(MemoryAccess, (
+            self._seq, ctx.name, instr.addr, instr.name, instr.func,
+            data_addr, kind, occurrence,
+            frozenset(held) if held else EMPTY_LOCKSET))
         self.access_log.append(access)
         return access
 

@@ -24,11 +24,12 @@ def _access(thread="B", addr=100, kind=AccessKind.READ):
 
 
 class TestBreakpoints:
-    def test_wildcard_breakpoint_matches_any_thread(self):
+    def test_occurrence_wildcard_matches_every_execution(self):
         bpm = BreakpointManager()
-        bpm.install(Breakpoint(0x10))
+        bpm.install(Breakpoint(0x10, thread="A"))
         assert bpm.hit("A", 0x10, 1)
-        assert bpm.hit("B", 0x10, 5)
+        assert bpm.hit("A", 0x10, 5)
+        assert bpm.hit("B", 0x10, 1) is None
         assert bpm.hit("A", 0x14, 1) is None
 
     def test_thread_and_occurrence_filters(self):
@@ -37,16 +38,36 @@ class TestBreakpoints:
         assert not bp.matches("B", 0x10, 2)
         assert not bp.matches("A", 0x10, 1)
 
+    def test_armed_is_the_one_probe_trap_gate(self):
+        bpm = BreakpointManager()
+        first = Breakpoint(0x10, thread="A", occurrence=1)
+        second = Breakpoint(0x10, thread="A", occurrence=3)
+        bpm.install(first)
+        bpm.install(second)
+        bpm.install(Breakpoint(0x20, thread="B", occurrence=1))
+        assert ("A", 0x10) in bpm.armed and ("B", 0x20) in bpm.armed
+        assert ("B", 0x10) not in bpm.armed
+        # Armed is necessary, not sufficient: the occurrence still decides.
+        assert bpm.hit("A", 0x10, 2) is None
+        assert bpm.hit("A", 0x10, 3) == second
+        # A key disarms only when its last breakpoint goes.
+        bpm.remove(first)
+        assert ("A", 0x10) in bpm.armed
+        bpm.remove(second)
+        assert ("A", 0x10) not in bpm.armed
+
     def test_remove_and_clear(self):
         bpm = BreakpointManager()
-        bp = Breakpoint(0x10)
+        bp = Breakpoint(0x10, thread="A")
         bpm.install(bp)
         assert len(bpm) == 1
         bpm.remove(bp)
         assert len(bpm) == 0
+        bpm.remove(bp)  # removing an absent breakpoint is a no-op
         bpm.install(bp)
         bpm.clear()
         assert bpm.hit("A", 0x10, 1) is None
+        assert not bpm.armed
 
 
 class TestWatchpoints:
