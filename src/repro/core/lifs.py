@@ -97,17 +97,18 @@ class LifsConfig:
     #: bit-identical with the engine on or off (the ``--no-snapshot``
     #: ablation); only ``snapshot.*`` accounting differs.
     use_snapshots: bool = True
-    #: Capture a checkpoint every N executed instructions (besides the boot
-    #: checkpoint and one at every preemption fire).
-    snapshot_interval: int = 8
+    #: Capture a checkpoint every N executed instructions, besides the
+    #: entry capture and the one just before every preemption fire.  The
+    #: default 0 takes no periodic captures: extensions resume from the
+    #: latest capture before their divergence, the pre-fire captures
+    #: harvested from earlier siblings already sit close to it, and
+    #: periodic ones cost more to take than the few steps they save.
+    snapshot_interval: int = 0
     #: Per-run cap on captured checkpoints.
     max_checkpoints_per_run: int = 64
     #: Cap on memoized run continuations (suffix splicing); each entry
     #: pins its donor run for the duration of the search.
     max_continuations: int = 65536
-    #: Debugging aid: dedup on the full nested Mazurkiewicz signature
-    #: tuples instead of the stable 64-bit digest.
-    full_signatures: bool = False
     #: Retain full ``RunResult``s for ``sample_runs`` instead of the
     #: lightweight summaries that are replayed on demand.
     keep_full_runs: bool = False
@@ -178,7 +179,6 @@ class RunSummary:
     failure: Optional[Failure]
     steps: int
     interleavings: int
-    signature_hash: int
 
     @property
     def failed(self) -> bool:
@@ -291,7 +291,7 @@ class LeastInterleavingFirstSearch:
         self.tracer = as_tracer(tracer)
         self.stats = SearchStats()
         self._knowledge = _Knowledge()
-        self._signatures: Set = set()
+        self._signatures: Set[int] = set()
         self._tried_schedules: Set[Tuple] = set()
         self._run_summaries: List[RunSummary] = []
         self._kept_runs: List[RunResult] = []
@@ -614,8 +614,10 @@ class LeastInterleavingFirstSearch:
         self.stats.per_round_executed[round_index] = (
             self.stats.per_round_executed.get(round_index, 0) + 1)
         self._knowledge.absorb(run)
-        digest = run.signature_hash()
-        key = run.signature() if self.config.full_signatures else digest
+        # The in-process hash of the signature is as wide as the stable
+        # digest (``RunResult.signature_hash``) and far cheaper; the set
+        # never leaves this search, so per-process salting is harmless.
+        key = hash(run.signature())
         duplicate = key in self._signatures
         if duplicate:
             self.stats.equivalent_runs += 1
@@ -626,7 +628,7 @@ class LeastInterleavingFirstSearch:
         if len(self._run_summaries) < self.config.keep_runs:
             self._run_summaries.append(RunSummary(
                 schedule=schedule, failure=run.failure, steps=run.steps,
-                interleavings=run.interleavings, signature_hash=digest))
+                interleavings=run.interleavings))
             if self.config.keep_full_runs:
                 self._kept_runs.append(run)
         return duplicate

@@ -58,7 +58,8 @@ class EnginePolicy:
     """
 
     use_snapshots: bool = True
-    #: Capture a checkpoint every N executed instructions.
+    #: Capture a checkpoint every N executed instructions (besides the
+    #: entry and pre-fire captures); 0 takes no periodic captures.
     snapshot_interval: int = 8
     #: Per-run cap on captured checkpoints.
     max_checkpoints_per_run: int = 64
@@ -209,11 +210,6 @@ class RunOutcome:
     #: consumes them, and only for those, so every run is counted
     #: exactly once.
     remote: bool = False
-
-    def signature_hash(self) -> int:
-        """The run's stable 64-bit Mazurkiewicz-signature digest — the
-        identity callers dedup equivalent runs on."""
-        return self.run.signature_hash()
 
 
 @dataclass

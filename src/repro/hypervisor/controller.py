@@ -33,7 +33,6 @@ point.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -130,8 +129,9 @@ class RunResult:
     def signature_hash(self) -> int:
         """Stable 64-bit digest of :meth:`signature`.  Unlike ``hash()``
         (salted per process for strings) the digest is identical across
-        processes and sessions, so it can be persisted and compared;
-        LIFS dedups on it instead of pinning the full nested tuples."""
+        processes and sessions, so it can be persisted and compared —
+        replay recordings store it.  LIFS dedups within one search, so it
+        keys on the cheaper ``hash()`` instead."""
         digest = hashlib.blake2b(repr(self.signature()).encode("utf-8"),
                                  digest_size=8).digest()
         return int.from_bytes(digest, "big")
@@ -184,8 +184,9 @@ class ContinuationCache:
     """
 
     def __init__(self, max_entries: int) -> None:
-        #: key -> (donor run, horizon seq, donor controller steps there)
-        self.entries: Dict[Tuple, Tuple[RunResult, int, int]] = {}
+        #: key -> (donor run, donor controller steps there, donor
+        #: trace/access/spawn log lengths there)
+        self.entries: Dict[Tuple, Tuple[RunResult, int, int, int, int]] = {}
         self.max_entries = max_entries
 
     def session(self) -> "SpliceSession":
@@ -199,43 +200,47 @@ class SpliceSession:
     quiescent step it computes the state key once, using it both to look
     up a memoized suffix *and* to remember this run's own quiescent
     points.  After the run completes, :meth:`donate` publishes those
-    points so later runs can splice from them."""
+    points so later runs can splice from them.  Each point records the
+    lengths of the machine's three run logs there, so a later hit slices
+    the donor's logs at those offsets instead of searching them by seq."""
 
     def __init__(self, cache: ContinuationCache) -> None:
         self._cache = cache
-        #: (key, controller steps) at each quiescent point of this run.
-        self._seen: List[Tuple[Tuple, int]] = []
+        #: (key, controller steps, trace/access/spawn log lengths) at each
+        #: quiescent point of this run.
+        self._seen: List[Tuple[Tuple, int, int, int, int]] = []
 
     def probe(self, machine: KernelMachine,
               controller: "ScheduleController") -> Optional[SpliceTail]:
         key = (machine._seq, controller._active, machine_state_key(machine))
         hit = self._cache.entries.get(key)
         if hit is not None:
-            donor, horizon, donor_steps = hit
-            i = bisect.bisect_right([e.seq for e in donor.trace], horizon)
+            donor, donor_steps, n_trace, n_accesses, n_spawns = hit
             return SpliceTail(
-                trace=tuple(donor.trace[i:]),
-                accesses=tuple(a for a in donor.accesses if a.seq > horizon),
-                spawn_events=tuple(e for e in donor.spawn_events
-                                   if e.seq > horizon),
+                trace=tuple(donor.trace[n_trace:]),
+                accesses=tuple(donor.accesses[n_accesses:]),
+                spawn_events=tuple(donor.spawn_events[n_spawns:]),
                 failure=donor.failure,
                 steps=donor.steps - donor_steps,
                 final_seq=donor.trace[-1].seq,
                 thread_names=tuple(donor.thread_names),
                 thread_kinds=dict(donor.thread_kinds),
             )
-        self._seen.append((key, controller._steps))
+        self._seen.append((key, controller._steps, len(machine.trace),
+                           len(machine.access_log),
+                           len(machine.spawn_events)))
         return None
 
     def donate(self, run: RunResult) -> None:
         entries = self._cache.entries
         limit = self._cache.max_entries
-        for key, steps in self._seen:
+        for key, steps, n_trace, n_accesses, n_spawns in self._seen:
             if len(entries) >= limit:
                 break
             if run.steps <= steps:
                 continue  # quiescent point was the final state: no suffix
-            entries.setdefault(key, (run, key[0], steps))
+            entries.setdefault(key, (run, steps, n_trace, n_accesses,
+                                     n_spawns))
 
 
 class ScheduleController:
@@ -252,10 +257,11 @@ class ScheduleController:
     :attr:`resumed_from_steps`.
 
     With ``checkpoint_policy`` set, the run captures prefix checkpoints
-    (at entry, at each preemption fire, and periodically) into
-    :attr:`checkpoints` for later runs to resume from.  Constraint
-    schedules are never checkpointed: the constraint-queue cursor is not
-    part of a checkpoint.
+    into :attr:`checkpoints` for later runs to resume from: one at entry
+    (fresh runs only), one just before each preemption fires, and — only
+    when the policy's ``interval`` is positive — one every ``interval``
+    executed instructions.  Constraint schedules are never checkpointed:
+    the constraint-queue cursor is not part of a checkpoint.
     """
 
     def __init__(self, machine: KernelMachine, schedule: Schedule,
@@ -477,7 +483,9 @@ class ScheduleController:
         constraints = self._constraints
         n_constraints = len(constraints)
         observe = self.watchpoints.observe
-        policy = self._policy
+        # Periodic captures only where the policy asks for them; interval
+        # 0 skips the per-step bookkeeping altogether.
+        interval = self._policy.interval if self._policy is not None else 0
         probe = self._splice_probe
         ready = ThreadState.READY
         while machine.failure is None:
@@ -533,9 +541,9 @@ class ScheduleController:
                     observe(access)
             elif outcome.blocked and self._active == name:
                 self._active = None
-            if policy is not None:
+            if interval:
                 self._steps_since_capture += 1
-                if self._steps_since_capture >= policy.interval:
+                if self._steps_since_capture >= interval:
                     self._maybe_capture()
             if probe is not None and machine.failure is None \
                     and not self._pending_preemptions \
@@ -597,6 +605,8 @@ class ScheduleController:
         # is still pending), so a search can reuse it as a checkpoint of
         # the base schedule at exactly the divergence point — siblings that
         # diverge later resume from here instead of an earlier capture.
+        # It is the only capture a fire takes: a post-fire state shares
+        # this horizon, and resume keeps the pre-fire one.
         self._maybe_capture()
         self._pending_preemptions.remove(preemption)
         self.breakpoints.remove(Breakpoint(preemption.instr_addr, thread,
@@ -618,9 +628,6 @@ class ScheduleController:
             self._active = target if self._runnable(target) else None
         else:
             self._active = None
-        # A fire point is the horizon past which extensions of this run
-        # diverge — always worth a checkpoint.
-        self._maybe_capture()
 
     # ------------------------------------------------------------------
     def _measured_interleavings(self) -> int:

@@ -58,8 +58,10 @@ def restore(machine: KernelMachine, snapshot: MachineSnapshot) -> None:
 @dataclass(frozen=True)
 class CheckpointPolicy:
     """When a controller captures prefix checkpoints during a run: one at
-    run entry, one each time a preemption fires, and one every ``interval``
-    executed instructions, up to ``max_checkpoints`` total."""
+    entry (fresh runs only), one just before each preemption fires, and —
+    when ``interval`` is positive — one every ``interval`` executed
+    instructions, up to ``max_checkpoints`` total.  ``interval=0`` takes
+    no periodic captures: only the points a later run resumes from."""
 
     interval: int = 8
     max_checkpoints: int = 64

@@ -413,7 +413,7 @@ class ReferenceController(ScheduleController):
             if outcome.thread_done and self._active == name:
                 self._active = None
             self._steps_since_capture += 1
-            if self._policy is not None and \
+            if self._policy is not None and self._policy.interval and \
                     self._steps_since_capture >= self._policy.interval:
                 self._maybe_capture()
             if self._splice_probe is not None and not machine.halted \
