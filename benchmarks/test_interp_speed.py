@@ -148,7 +148,6 @@ def _measure_replay(bugs):
         assert resumed.run.signature_hash() == fresh.signature_hash(), \
             bug.bug_id
         assert str(resumed.run.failure) == str(fresh.failure), bug.bug_id
-        engine.close()
     return {
         "replays_per_pass": REPLAY_REPS * len(work),
         "passes": TIMED_PASSES,

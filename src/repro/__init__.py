@@ -53,7 +53,7 @@ from repro.observe import (
     Tracer,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Aitia",

@@ -64,7 +64,6 @@ def diagnose(bug_or_id: BugLike, *,
              cost_model=None,
              vm_count: int = DEFAULT_VM_COUNT,
              snapshots: Optional[bool] = None,
-             wave_jobs: Optional[int] = None,
              executor: Optional[str] = None,
              policy: Optional[str] = None,
              experience=None,
@@ -81,37 +80,35 @@ def diagnose(bug_or_id: BugLike, *,
 
     ``snapshots=False`` is the ``--no-snapshot`` ablation: disable the
     prefix-checkpoint engine (see docs/PERFORMANCE.md) in both stages.
-    ``wave_jobs`` is the ``--parallel-waves`` width: with N > 1, LIFS
-    frontier rounds and CA flip batches fan out to N child processes
-    (the parallel wave engine of docs/PERFORMANCE.md).  ``executor``
-    selects the wave dispatch backend: ``"fleet"`` (persistent
-    fork-server workers, the default) or ``"inline"`` (never fork).
     ``policy="adaptive"`` routes both search stages through the
     adaptive search policy (``--policy``, see docs/PERFORMANCE.md):
     candidate runs are ranked by the ``experience``
     (:class:`~repro.policy.ExperienceIndex`) of prior diagnoses and
     flip candidates ruled out by error invariants are pruned.  Results
     are bit-identical whatever the settings; only the ``snapshot.*`` /
-    ``ca.snapshot_*`` / ``hv.wave.*`` / ``policy.*`` accounting
-    differs.  All of these are ignored when an explicit ``lifs`` /
-    ``ca`` config carries its own ``use_snapshots`` / ``wave_jobs`` /
-    ``executor`` / ``policy``.
+    ``ca.snapshot_*`` / ``policy.*`` accounting differs.  Both are
+    ignored when an explicit ``lifs`` / ``ca`` config carries its own
+    ``use_snapshots`` / ``policy``.
+
+    Every schedule runs in this process.  ``executor`` is accepted for
+    callers written against 2.x: ``None`` and ``"inline"`` are the
+    only values, anything else raises ``ValueError``.
     """
+    if executor not in (None, "inline"):
+        raise ValueError(
+            f"unknown executor {executor!r}: since 3.0 every schedule "
+            f"runs in-process, so only None and 'inline' are accepted")
     bug = _resolve_bug(bug_or_id)
     if report is None and pipeline:
         from repro.trace.syzkaller import run_bug_finder
         report = run_bug_finder(bug)
-    resolved = EnginePolicy.resolve(snapshots=snapshots, wave_jobs=wave_jobs,
-                                    executor=executor, search_policy=policy)
+    resolved = EnginePolicy.resolve(snapshots=snapshots,
+                                    search_policy=policy)
     if lifs is None:
         lifs = LifsConfig(use_snapshots=resolved.use_snapshots,
-                          wave_jobs=resolved.wave_jobs,
-                          executor=resolved.executor,
                           policy=resolved.search_policy)
     if ca is None:
         ca = CaConfig(use_snapshots=resolved.use_snapshots,
-                      wave_jobs=resolved.wave_jobs,
-                      executor=resolved.executor,
                       policy=resolved.search_policy)
     return Aitia(bug, report=report, lifs_config=lifs, ca_config=ca,
                  cost_model=cost_model, vm_count=vm_count,
@@ -123,8 +120,6 @@ def evaluate(bugs: Optional[Sequence[BugLike]] = None, *,
              jobs: int = 1,
              timeout_s: float = 600.0,
              snapshots: Optional[bool] = None,
-             wave_jobs: Optional[int] = None,
-             executor: Optional[str] = None,
              policy: Optional[str] = None,
              tracer=None):
     """Run the paper's evaluation over a bug set (default: all 22).
@@ -133,24 +128,19 @@ def evaluate(bugs: Optional[Sequence[BugLike]] = None, *,
     With ``jobs > 1`` the bugs are diagnosed in parallel worker
     processes; rows are bit-identical to the sequential ones.
     ``snapshots=False`` disables the prefix-checkpoint engine (the
-    ``--no-snapshot`` ablation); ``wave_jobs > 1`` fans each diagnosis's
-    schedule waves out to child processes (``--parallel-waves``);
-    ``executor`` selects the wave dispatch backend (``"fleet"`` /
-    ``"inline"``); ``policy="adaptive"`` the adaptive search policy
-    (``--policy``).  Rows are bit-identical whatever the settings.
+    ``--no-snapshot`` ablation); ``policy="adaptive"`` selects the
+    adaptive search policy (``--policy``).  Rows are bit-identical
+    whatever the settings.
     """
     from repro.analysis.evaluation import evaluate_corpus
 
-    engine = EnginePolicy.resolve(snapshots=snapshots, wave_jobs=wave_jobs,
-                                  executor=executor, search_policy=policy)
+    engine = EnginePolicy.resolve(snapshots=snapshots, search_policy=policy)
     resolved = None
     if bugs is not None:
         resolved = [_resolve_bug(b) for b in bugs]
     return evaluate_corpus(resolved, pipeline=pipeline, jobs=jobs,
                            timeout_s=timeout_s,
                            snapshots=engine.use_snapshots,
-                           wave_jobs=engine.wave_jobs,
-                           executor=engine.executor,
                            policy=engine.search_policy, tracer=tracer)
 
 
@@ -177,8 +167,6 @@ def triage(paths_or_corpus: TriageSource = "corpus", *,
            store=None,
            pipeline: bool = False,
            timeout_s: Optional[float] = None,
-           wave_jobs: Optional[int] = None,
-           executor: Optional[str] = None,
            policy: Optional[str] = None,
            tracer=None,
            service=None) -> TriageReport:
@@ -188,13 +176,9 @@ def triage(paths_or_corpus: TriageSource = "corpus", *,
     bugs), an intake directory of ``*.crash`` artifacts, a bug id/
     object, or a sequence mixing those.  ``store`` is a
     :class:`~repro.service.store.ResultStore` or a JSONL path; repeat
-    signatures answer from it as cache hits.  ``wave_jobs > 1`` fans
-    each diagnosis's schedule waves out to child processes
-    (``--parallel-waves``) — note waves degrade to inline execution
-    inside ``jobs > 1`` triage workers, which are daemonic and may not
-    fork children of their own.  An explicit ``service`` overrides
-    ``jobs``/``store``/``timeout_s``/``wave_jobs``/``tracer`` (useful
-    for injecting metrics or retry policies in tests).
+    signatures answer from it as cache hits.  An explicit ``service``
+    overrides ``jobs``/``store``/``timeout_s``/``policy``/``tracer``
+    (useful for injecting metrics or retry policies in tests).
     """
     from repro.service.store import ResultStore
     from repro.service.triage import DEFAULT_JOB_TIMEOUT_S, TriageService
@@ -202,15 +186,11 @@ def triage(paths_or_corpus: TriageSource = "corpus", *,
     if service is None:
         if isinstance(store, (str, os.PathLike)):
             store = ResultStore(os.fspath(store))
-        engine = EnginePolicy.resolve(wave_jobs=wave_jobs,
-                                      executor=executor,
-                                      search_policy=policy)
+        engine = EnginePolicy.resolve(search_policy=policy)
         service = TriageService(
             jobs=jobs, store=store,
             timeout_s=DEFAULT_JOB_TIMEOUT_S if timeout_s is None
             else timeout_s,
-            wave_jobs=engine.wave_jobs,
-            executor=engine.executor,
             policy=engine.search_policy,
             tracer=tracer)
     for source in _triage_sources(paths_or_corpus):

@@ -43,41 +43,26 @@ DEFAULT_TIMEOUT_S = 300.0
 def _parent_parsers():
     """The shared flag vocabulary, as argparse parent parsers.
 
-    ``trace``: --trace for every pipeline subcommand; ``waves``:
-    --parallel-waves for everything that diagnoses; ``pool``: --jobs
-    and --timeout for the multi-bug subcommands; ``store``: --store for
-    the triage service.  (The 1.x hidden aliases --workers,
-    --job-timeout and --result-store were removed in 2.0.)
+    ``trace``: --trace for every pipeline subcommand; ``policy``:
+    --policy for everything that diagnoses; ``pool``: --jobs and
+    --timeout for the multi-bug subcommands; ``store``: --store for the
+    triage service.  (The 1.x hidden aliases --workers, --job-timeout
+    and --result-store were removed in 2.0.)
     """
     trace = argparse.ArgumentParser(add_help=False)
     trace.add_argument("--trace", metavar="PATH",
                        help="write a JSONL span/counter trace of this "
                             "run to PATH (see 'repro trace-report')")
 
-    waves = argparse.ArgumentParser(add_help=False)
-    waves.add_argument("--parallel-waves", dest="parallel_waves", type=int,
-                       default=1, metavar="N",
-                       help="execute each diagnosis's independent "
-                            "schedule batches (LIFS frontier rounds, CA "
-                            "flip tests) across N child processes "
-                            "(default 1: sequential); results are "
-                            "bit-identical, only hv.wave.* accounting "
-                            "differs")
-    waves.add_argument("--executor", choices=("fleet", "inline"),
-                       default=None,
-                       help="wave dispatch backend: 'fleet' (persistent "
-                            "fork-server workers, the default) or "
-                            "'inline' (never fork; waves run "
-                            "in-process); irrelevant without "
-                            "--parallel-waves")
     from repro.policy import POLICY_CHOICES
-    waves.add_argument("--policy", choices=POLICY_CHOICES, default=None,
-                       help="search policy: 'static' (canonical order, "
-                            "the default) or 'adaptive' (rank candidate "
-                            "runs by prior-diagnosis experience and "
-                            "prune flips ruled out by error "
-                            "invariants); diagnoses are bit-identical, "
-                            "only policy.* accounting differs")
+    policy = argparse.ArgumentParser(add_help=False)
+    policy.add_argument("--policy", choices=POLICY_CHOICES, default=None,
+                        help="search policy: 'static' (canonical order, "
+                             "the default) or 'adaptive' (rank candidate "
+                             "runs by prior-diagnosis experience and "
+                             "prune flips ruled out by error "
+                             "invariants); diagnoses are bit-identical, "
+                             "only policy.* accounting differs")
 
     pool = argparse.ArgumentParser(add_help=False)
     pool.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -91,7 +76,7 @@ def _parent_parsers():
     store.add_argument("--store", metavar="PATH",
                        help="persistent JSONL result store; repeat "
                             "signatures answer from it as cache hits")
-    return trace, waves, pool, store
+    return trace, policy, pool, store
 
 
 def _engine_policy(args: argparse.Namespace) -> EnginePolicy:
@@ -104,8 +89,6 @@ def _engine_policy(args: argparse.Namespace) -> EnginePolicy:
     no_snapshot = getattr(args, "no_snapshot", False)
     return EnginePolicy.resolve(
         cli_snapshots=False if no_snapshot else None,
-        cli_wave_jobs=getattr(args, "parallel_waves", None),
-        cli_executor=getattr(args, "executor", None),
         cli_search_policy=getattr(args, "policy", None))
 
 
@@ -169,8 +152,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     try:
         diagnosis = api.diagnose(bug, report=report, vm_count=args.vms,
                                  snapshots=policy.use_snapshots,
-                                 wave_jobs=policy.wave_jobs,
-                                 executor=policy.executor,
                                  policy=policy.search_policy,
                                  tracer=tracer)
     finally:
@@ -187,8 +168,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
                                   pipeline=args.pipeline, jobs=args.jobs,
                                   timeout_s=args.timeout,
                                   snapshots=policy.use_snapshots,
-                                  wave_jobs=policy.wave_jobs,
-                                  executor=policy.executor,
                                   policy=policy.search_policy,
                                   tracer=tracer)
     finally:
@@ -248,8 +227,6 @@ def _cmd_triage(args: argparse.Namespace) -> int:
     policy = _engine_policy(args)
     service = TriageService(jobs=args.jobs, store=store,
                             timeout_s=args.timeout,
-                            wave_jobs=policy.wave_jobs,
-                            executor=policy.executor,
                             policy=policy.search_policy,
                             tracer=tracer)
     try:
@@ -287,7 +264,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = DaemonConfig(
         host=args.host, port=args.port, data_dir=args.data_dir,
         jobs=args.jobs, timeout_s=args.timeout,
-        wave_jobs=engine.wave_jobs,
         policy=engine.search_policy,
         hot_capacity=args.hot_capacity, max_depth=args.max_depth,
         store_shards=args.store_shards, queue_shards=args.queue_shards,
@@ -383,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="AITIA (EuroSys 2023) reproduction: diagnose kernel "
                     "concurrency failures as causality chains.")
     sub = parser.add_subparsers(dest="command", required=True)
-    trace_parent, waves_parent, pool_parent, store_parent = \
+    trace_parent, policy_parent, pool_parent, store_parent = \
         _parent_parsers()
 
     sub.add_parser("list", help="list the corpus").set_defaults(
@@ -394,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     show.set_defaults(func=_cmd_show)
 
     diagnose = sub.add_parser("diagnose", help="diagnose one bug",
-                              parents=[trace_parent, waves_parent])
+                              parents=[trace_parent, policy_parent])
     diagnose.add_argument("bug_id")
     diagnose.add_argument("--pipeline", action="store_true",
                           help="go through the synthetic bug finder "
@@ -418,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser(
         "evaluate", help="run the paper's evaluation over the corpus",
-        parents=[trace_parent, waves_parent, pool_parent])
+        parents=[trace_parent, policy_parent, pool_parent])
     evaluate.add_argument("bug_ids", nargs="*",
                           help="specific bugs (default: all 22)")
     evaluate.add_argument("--pipeline", action="store_true",
@@ -434,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     triage = sub.add_parser(
         "triage", help="run the crash-triage service: intake -> dedup "
                        "-> parallel diagnosis -> cached results",
-        parents=[trace_parent, waves_parent, pool_parent, store_parent])
+        parents=[trace_parent, policy_parent, pool_parent, store_parent])
     triage.add_argument("intake", nargs="?", metavar="DIR",
                         help="intake directory of *.crash artifacts")
     triage.add_argument("--corpus", action="store_true",
@@ -457,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run the long-running triage intake daemon: "
                       "HTTP .crash submission, dedup, journaled queue, "
                       "two-tier result cache, /metrics",
-        parents=[trace_parent, waves_parent, pool_parent])
+        parents=[trace_parent, policy_parent, pool_parent])
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8080,

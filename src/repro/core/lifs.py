@@ -112,19 +112,6 @@ class LifsConfig:
     #: Retain full ``RunResult``s for ``sample_runs`` instead of the
     #: lightweight summaries that are replayed on demand.
     keep_full_runs: bool = False
-    #: Parallel wave width (``--parallel-waves``): with N > 1 each depth
-    #: round's frontier extensions are speculatively executed as one wave
-    #: across N child processes, and the sequential pass consumes the
-    #: precomputed results instead of re-running them.  Results are
-    #: bit-identical to ``wave_jobs=1`` (the speculative candidate set is
-    #: always a subset of the authoritative one — see
-    #: docs/PERFORMANCE.md); only wave/snapshot accounting differs.
-    wave_jobs: int = 1
-    #: Which parallel dispatch backend serves waves (``--executor``):
-    #: ``"fleet"`` (the persistent fork-server fleet, the default) or
-    #: ``"inline"`` (never fork; waves run in-process).  Irrelevant at
-    #: ``wave_jobs=1``.  Diagnoses are bit-identical either way.
-    executor: str = "fleet"
     #: Which :mod:`repro.policy` search policy shapes frontier-extension
     #: batches (``--policy``): ``"static"`` (the canonical lazy
     #: front-to-back order, the default) or ``"adaptive"``
@@ -295,9 +282,9 @@ class LeastInterleavingFirstSearch:
         self._tried_schedules: Set[Tuple] = set()
         self._run_summaries: List[RunSummary] = []
         self._kept_runs: List[RunResult] = []
-        # All execution placement (snapshot resume/splice, parallel waves,
-        # coverage pinning, speculation dedup) lives in the engine; the
-        # search only decides *which* schedules to run and in what order.
+        # All execution placement (snapshot resume/splice, coverage
+        # pinning) lives in the engine; the search only decides *which*
+        # schedules to run and in what order.
         self.engine = ScheduleExecutionEngine(
             machine_factory, EnginePolicy.for_lifs(self.config),
             tracer=self.tracer, experience=experience)
@@ -308,18 +295,9 @@ class LeastInterleavingFirstSearch:
                               threads=len(self.initial_threads)) as span:
             started = time.perf_counter()
             result = self._search()
-            # Early exit (reproduction, budget) may leave speculative wave
-            # results unconsumed; they are discarded, never merged, so the
-            # diagnosis stays identical to a sequential search.
-            self.engine.discard_speculation()
             self._absorb_engine_stats()
             self.stats.elapsed_seconds = time.perf_counter() - started
             self._trace_outcome(span, result)
-            # The engine (and any resident fleet workers it forked)
-            # serves exactly this search; retire it so batch callers —
-            # the 22-bug evaluation, the triage service — never
-            # accumulate worker processes across diagnoses.
-            self.engine.close()
         return result
 
     def _absorb_engine_stats(self) -> None:
@@ -384,7 +362,6 @@ class LeastInterleavingFirstSearch:
                   if self.engine.search_policy.reorders
                   else self._extend_round_static)
         for round_index in range(1, self.config.max_interleavings + 1):
-            self._speculate_round(frontier)
             result, next_frontier = extend(frontier, round_index)
             if result is not None:
                 return result
@@ -548,45 +525,6 @@ class LeastInterleavingFirstSearch:
         return [merged[h] for h in sorted(merged)]
 
     # ------------------------------------------------------------------
-    def _speculate_round(self, frontier) -> None:
-        """Speculatively execute this round's frontier extensions as one
-        parallel wave through the engine.
-
-        Candidates are generated with the knowledge available at *round
-        start* — staler than what the authoritative sequential pass will
-        hold when it reaches later bases, and conflict knowledge only
-        grows, so staler knowledge prunes **more**: the speculative set is
-        always a subset of the authoritative one.  The sequential pass
-        stays the single source of truth — the engine answers matching
-        requests from its speculation memo by schedule key and runs
-        anything the speculation missed inline, so results are
-        bit-identical to a sequential search.  Candidate generation here
-        works on *copies* of the dedup set and skips stats, leaving the
-        authoritative pass to account for every candidate exactly as
-        ``wave_jobs=1`` would.
-        """
-        if not self.engine.wave_ready():
-            return
-        budget = self.config.max_schedules - self.stats.schedules_executed
-        if budget <= 0:
-            return
-        tried = set(self._tried_schedules)
-        requests: List[RunRequest] = []
-        for base, base_ckpts in frontier:
-            horizons = [c.horizon_seq for c in base_ckpts]
-            for schedule, div_seq in self._extensions(
-                    base, tried=tried, count_stats=False):
-                if len(requests) >= budget:
-                    break
-                i = bisect.bisect_left(horizons, div_seq)
-                requests.append(RunRequest(
-                    schedule=schedule,
-                    resume_from=base_ckpts[i - 1] if i else None,
-                    capture_checkpoints=True))
-            if len(requests) >= budget:
-                break
-        self.engine.speculate(RunPlan(requests, phase="lifs.speculate"))
-
     def _execute(
         self, schedule: Schedule, round_index: int,
         resume_from: Optional[RunCheckpoint] = None,
@@ -607,8 +545,8 @@ class LeastInterleavingFirstSearch:
 
     def _account_run(self, schedule: Schedule, run: RunResult,
                      round_index: int) -> bool:
-        """Search-level bookkeeping shared by inline and wave-merged runs;
-        returns whether the run's signature repeats an earlier one."""
+        """Search-level bookkeeping for one executed run; returns whether
+        the run's signature repeats an earlier one."""
         if run.failed:
             self.stats.failing_runs += 1
         self.stats.per_round_executed[round_index] = (
@@ -638,9 +576,7 @@ class LeastInterleavingFirstSearch:
         tracer — accounting already happened during the search)."""
         return ScheduleController(self.machine_factory(), schedule).run()
 
-    def _extensions(self, base: RunResult,
-                    tried: Optional[Set[Tuple]] = None,
-                    count_stats: bool = True):
+    def _extensions(self, base: RunResult):
         """Candidate ``(schedule, divergence_seq)`` pairs extending ``base``
         with one more preemption, front-to-back after the base's last fired
         preemption.
@@ -649,14 +585,8 @@ class LeastInterleavingFirstSearch:
         extension behave identically up to (but excluding) that entry, so
         the caller may resume the extension from any checkpoint whose
         horizon is strictly before it.
-
-        The speculative wave pass (:meth:`_speculate_round`) previews the
-        same generator with ``tried`` set to a *copy* of the dedup set and
-        ``count_stats=False``, so the authoritative sequential pass later
-        observes untouched dedup state and accounts for every candidate
-        itself.
         """
-        seen = self._tried_schedules if tried is None else tried
+        seen = self._tried_schedules
         # Front-to-back: new preemptions only after the point where the
         # base run's last preemption *fired* (parked its thread).
         last_seq = max(base.fired_seqs) if base.fired_seqs else 0
@@ -687,11 +617,10 @@ class LeastInterleavingFirstSearch:
                 if self.config.conflict_pruning and \
                         not self._knowledge.conflicts(
                             access.data_addr, access.is_write, target):
-                    if count_stats:
-                        self.stats.candidates_pruned += 1
-                        depth = len(base.schedule.preemptions) + 1
-                        self.stats.per_round_pruned[depth] = (
-                            self.stats.per_round_pruned.get(depth, 0) + 1)
+                    self.stats.candidates_pruned += 1
+                    depth = len(base.schedule.preemptions) + 1
+                    self.stats.per_round_pruned[depth] = (
+                        self.stats.per_round_pruned.get(depth, 0) + 1)
                     continue
                 preemption = Preemption(
                     thread=entry.thread, instr_addr=entry.instr_addr,

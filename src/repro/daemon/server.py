@@ -270,7 +270,6 @@ class TriageDaemon:
             payload={"mode": "artifact", "artifact": artifact.render(),
                      "bug_id": artifact.bug_id, "digest": digest,
                      "tenant": tenant,
-                     "wave_jobs": self.config.wave_jobs,
                      "policy": self.config.policy})
         if self.config.policy != "static" and self.experience:
             job.payload["experience"] = self.experience.snapshot()

@@ -4,10 +4,11 @@ One run service between "algorithm wants runs" and "hypervisor
 interprets instructions".  LIFS and Causality Analysis emit
 :class:`RunRequest`/:class:`RunPlan` values and consume
 :class:`RunOutcome`\\ s; the :class:`ScheduleExecutionEngine` decides
-*where* and *how* each schedule executes — inline fresh boots, snapshot
-resume/splice on a vehicle machine, or streaming dispatch across the
-persistent fork-server worker fleet — under one :class:`EnginePolicy`
-resolved from algorithm configs, api keywords and CLI flags.  See
+*how* each schedule executes — inline fresh boots or snapshot
+resume/splice on a vehicle machine — under one :class:`EnginePolicy`
+resolved from algorithm configs, api keywords and CLI flags.  The
+process fan-out across independent diagnoses (triage and evaluation
+``--jobs``, the daemon's workers) is :func:`make_executor`.  See
 docs/ARCHITECTURE.md.
 
 * :mod:`repro.engine.protocol`  — the request/plan/outcome vocabulary,
@@ -15,21 +16,14 @@ docs/ARCHITECTURE.md.
 * :mod:`repro.engine.backends`  — the in-parent backends
   (:class:`InlineBackend`, :class:`SnapshotBackend`);
 * :mod:`repro.engine.executors` — the one process-dispatch front door
-  (:func:`make_executor`: :class:`InlineExecutor` /
-  :class:`FleetExecutor` for schedule plans, :class:`JobExecutor` for
-  triage jobs);
+  (:func:`make_executor`, :class:`JobExecutor` for triage jobs);
 * :mod:`repro.engine.fleet`     — the fork-server worker substrate;
 * :mod:`repro.engine.engine`    — the engine itself.
 """
 
 from repro.engine.backends import InlineBackend, SnapshotBackend
 from repro.engine.engine import ScheduleExecutionEngine
-from repro.engine.executors import (
-    FleetExecutor,
-    InlineExecutor,
-    JobExecutor,
-    make_executor,
-)
+from repro.engine.executors import JobExecutor, make_executor
 from repro.engine.protocol import (
     CA_COUNTER_NAMES,
     LIFS_COUNTER_NAMES,
@@ -45,9 +39,7 @@ __all__ = [
     "LIFS_COUNTER_NAMES",
     "EnginePolicy",
     "EngineStats",
-    "FleetExecutor",
     "InlineBackend",
-    "InlineExecutor",
     "JobExecutor",
     "RunOutcome",
     "RunPlan",

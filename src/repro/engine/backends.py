@@ -9,26 +9,19 @@ where and how a schedule executes never changes the run's bits — only
 the placement facts reported on the outcome (resumed/prefix/setup/
 spliced steps) differ.
 
-* :class:`InlineBackend`   — boot a fresh machine per request, run in
-  the parent.  The ``--no-snapshot`` baseline and the only legal
-  backend for coverage-instrumented machines (kcov callbacks must fire
-  in this process, over every instruction).
+* :class:`InlineBackend`   — boot a fresh machine per request.  The
+  ``--no-snapshot`` baseline and the only legal backend for
+  coverage-instrumented machines (kcov callbacks must fire over every
+  instruction).
 * :class:`SnapshotBackend` — one vehicle machine restored in place from
   boot/prefix checkpoints (:class:`CheckpointPolicy` captures,
   :class:`ContinuationCache` suffix splicing).  docs/PERFORMANCE.md.
 
-Parallel placement is no longer a backend: plans stream through the
-executor layer (:mod:`repro.engine.executors` — the persistent
-fork-server fleet), with resume points and capture policies resolved
-*into* each request by the engine, so every placement executes exactly
-the run the snapshot/inline path would have produced.
-
-Neither is candidate *selection*: which requests of a plan execute, and
-in what order, is decided before any backend sees them, by the
-:mod:`repro.policy` search policy behind the engine's ``shape_plan``.
-Backends must treat ``RunRequest.meta`` (the policy's candidate
-bookkeeping) as opaque and never read it — the engine strips it when
-preparing requests for an executor.
+Candidate *selection* is not a backend's job: which requests of a plan
+execute, and in what order, is decided before any backend sees them, by
+the :mod:`repro.policy` search policy behind the engine's
+``shape_plan``.  Backends must treat ``RunRequest.meta`` (the policy's
+candidate bookkeeping) as opaque and never read it.
 
 Adding a backend means implementing ``run`` returning outcomes whose
 runs are bit-identical to :class:`InlineBackend`'s, and teaching the
@@ -52,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 
 class InlineBackend:
-    """Fresh boot per request, executed in the parent process."""
+    """Fresh boot per request."""
 
     name = "inline"
 

@@ -1,24 +1,18 @@
 """The persistent fork-server worker fleet.
 
-:class:`WorkerFleet` is the process substrate under every executor in
-:mod:`repro.engine.executors`: a fixed-width set of resident child
-processes that boot **once** and then service an unbounded stream of
-tasks over duplex pipes.  This replaces the process-per-attempt /
-process-per-wave designs (one ``fork`` + module re-import + state
-pickle per batch) whose dispatch overhead measured 3–8× *slower* than
-sequential execution on small waves (``bench_waves.json``, pre-fleet).
+:class:`WorkerFleet` is the process substrate under
+:class:`~repro.engine.executors.JobExecutor`: a fixed-width set of
+resident child processes that boot **once** and then service an
+unbounded stream of tasks over duplex pipes.
 
 Design points:
 
 * **Fork inheritance** — workers are started under the ``fork`` start
-  method by default, so unpicklable closures (machine factories) and
-  large shared structures (the parent's
-  :class:`~repro.kernel.snapshot.CheckpointStore`) are inherited by
-  address at spawn time, copy-on-write.
-* **Resident state** — each worker keeps a ``state`` dict across tasks
-  (vehicle machine, continuation cache, store replica), which is what
-  makes the fleet a *fork server*: the boot cost is paid once per
-  worker lifetime, not once per task.
+  method by default, so the worker callable and the imported modules
+  are inherited by address at spawn time, copy-on-write.
+* **Resident workers** — a worker serves task after task, which is
+  what makes the fleet a *fork server*: the fork and import cost is
+  paid once per worker lifetime, not once per task.
 * **Streaming completion** — :meth:`WorkerFleet.poll` surfaces results
   as events in completion order; callers merge by task id, so no
   barrier join is ever required.
@@ -27,8 +21,8 @@ Design points:
   carrying its in-flight task, and respawned within a bounded budget;
   a worker past a task deadline is drained once more, then killed and
   respawned (``timeout`` event).  The *caller* decides whether a lost
-  task retries, falls back inline, or fails — the fleet only guarantees
-  no task silently disappears.
+  task retries or fails — the fleet only guarantees no task silently
+  disappears.
 """
 
 from __future__ import annotations
@@ -36,25 +30,24 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Set
+from typing import Any, Callable, List, Optional
 
 from multiprocessing.connection import wait as _connection_wait
 
 #: Tag of the hello message each worker posts once it is servicing.
 _READY = "__fleet_ready__"
 
-#: A worker task runner: ``(payload, state) -> result``.  ``state`` is
-#: the worker-resident dict that survives across tasks.
-Runner = Callable[[Any, dict], Any]
+#: A worker task runner: ``payload -> result``.
+Runner = Callable[[Any], Any]
 
 
 def fleet_available(context: str = "fork") -> bool:
     """Whether a fleet can genuinely fork resident workers here.
 
-    Requires the requested start method (machine factories are closures
-    and must be fork-inherited, not pickled) and a non-daemonic parent —
-    daemonic processes may not have children, so a fleet inside a
-    ``--jobs N`` triage worker must degrade instead of crashing.
+    Requires the requested start method (worker callables may be
+    closures and must be fork-inherited, not pickled) and a non-daemonic
+    parent — daemonic processes may not have children, so a fleet
+    inside a worker process must degrade instead of crashing.
     """
     return (context in multiprocessing.get_all_start_methods()
             and not multiprocessing.current_process().daemon)
@@ -63,7 +56,6 @@ def fleet_available(context: str = "fork") -> bool:
 def _fleet_worker_main(runner: Runner, conn) -> None:
     """Resident worker loop: announce readiness, then serve tasks until
     the ``None`` sentinel or a closed pipe."""
-    state: dict = {}
     try:
         conn.send((_READY, None, None))
     except (BrokenPipeError, OSError):  # pragma: no cover — parent gone
@@ -77,7 +69,7 @@ def _fleet_worker_main(runner: Runner, conn) -> None:
             break
         task_id, payload = message
         try:
-            result = runner(payload, state)
+            result = runner(payload)
             reply = (task_id, "ok", result)
         except BaseException as exc:  # noqa: BLE001 — report, don't die
             reply = (task_id, "error", f"{type(exc).__name__}: {exc}")
@@ -108,9 +100,6 @@ class FleetWorker:
         self.task_id: Optional[int] = None
         self.dispatched_at = 0.0
         self.deadline: Optional[float] = None
-        #: Checkpoint-store keys this worker is known to hold (seeded at
-        #: spawn from the fork-inherited store, grown by every send).
-        self.known_keys: Set[str] = set()
 
     @property
     def alive(self) -> bool:
@@ -149,7 +138,6 @@ class FleetEvent:
     """
 
     kind: str
-    worker: FleetWorker
     task_id: int
     body: Any = None
 
@@ -159,9 +147,7 @@ class WorkerFleet:
 
     def __init__(self, runner: Runner, jobs: int, *,
                  context: str = "fork",
-                 max_respawns: int = 16,
-                 on_spawn: Optional[Callable[[FleetWorker], None]] = None,
-                 ) -> None:
+                 max_respawns: int = 16) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self.runner = runner
@@ -169,7 +155,6 @@ class WorkerFleet:
         self.context_name = context
         self.max_respawns = max_respawns
         self.respawns = 0
-        self.on_spawn = on_spawn
         self.workers: List[FleetWorker] = []
         self.started = False
         self._spawned = 0
@@ -189,8 +174,6 @@ class WorkerFleet:
     def _spawn(self) -> FleetWorker:
         worker = FleetWorker(self._ctx, self.runner, self._spawned)
         self._spawned += 1
-        if self.on_spawn is not None:
-            self.on_spawn(worker)
         self.workers.append(worker)
         return worker
 
@@ -217,9 +200,6 @@ class WorkerFleet:
         """Alive workers with no task (ready or still booting — the pipe
         buffers, so dispatching to a booting worker is fine)."""
         return [w for w in self.workers if w.idle]
-
-    def busy(self) -> List[FleetWorker]:
-        return [w for w in self.workers if w.task_id is not None]
 
     def dispatch(self, worker: FleetWorker, task_id: int, payload,
                  timeout_s: Optional[float] = None) -> bool:
@@ -268,7 +248,7 @@ class WorkerFleet:
                 continue
             task_id, status, body = message
             worker.clear_task()
-            events.append(FleetEvent(status, worker, task_id, body))
+            events.append(FleetEvent(status, task_id, body))
 
     def _expire(self, events: List[FleetEvent]) -> None:
         now = time.monotonic()
@@ -285,7 +265,7 @@ class WorkerFleet:
             worker.clear_task()
             worker.kill()
             self._remove_and_respawn(worker)
-            events.append(FleetEvent("timeout", worker, task_id))
+            events.append(FleetEvent("timeout", task_id))
 
     def _reap(self, worker: FleetWorker, events: List[FleetEvent]) -> None:
         """A worker's pipe hit EOF / its process died: surface the lost
@@ -296,7 +276,7 @@ class WorkerFleet:
         worker.kill()
         self._remove_and_respawn(worker)
         if task_id is not None:
-            events.append(FleetEvent("lost", worker, task_id, exitcode))
+            events.append(FleetEvent("lost", task_id, exitcode))
 
     def _remove_and_respawn(self, worker: FleetWorker) -> None:
         if worker in self.workers:
@@ -304,8 +284,3 @@ class WorkerFleet:
         if self.started and self.respawns < self.max_respawns:
             self.respawns += 1
             self._spawn()
-
-    def next_deadline(self) -> Optional[float]:
-        deadlines = [w.deadline for w in self.workers
-                     if w.deadline is not None]
-        return min(deadlines) if deadlines else None

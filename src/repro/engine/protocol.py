@@ -8,7 +8,7 @@ that primitive's vocabulary:
 * :class:`RunRequest`  — one schedule to execute, plus how (resume hint,
   race watching, checkpoint capture);
 * :class:`RunPlan`     — a batch of independent requests (a LIFS frontier
-  round, a CA flip phase) the engine may fan out as one wave;
+  round, a CA flip phase) the engine executes as one phase;
 * :class:`RunOutcome`  — the run plus the placement facts accounting
   needs (resumed? prefix/setup/spliced steps, captured checkpoints);
 * :class:`EnginePolicy` — which backends the engine composes, resolved
@@ -25,10 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 if TYPE_CHECKING:  # pragma: no cover - annotations only, no import cycle
     from repro.core.schedule import Schedule
     from repro.hypervisor.controller import RunResult
-    from repro.hypervisor.snapshot import CheckpointPolicy, RunCheckpoint
-
-#: Default fleet spin-up threshold (see :class:`EnginePolicy`).
-DEFAULT_FLEET_SPINUP_REQUESTS = 48
+    from repro.hypervisor.snapshot import RunCheckpoint
 
 
 def _cfg(config, name):
@@ -50,11 +47,9 @@ def _pick(*values, default):
 class EnginePolicy:
     """Everything the engine needs to pick and parameterize backends.
 
-    One policy instance selects the whole backend composition: snapshots
-    on/off (``SnapshotBackend`` vs ``InlineBackend``) and the parallel
-    executor (``repro.engine.executors`` — fleet kind, width, spin-up
-    threshold), plus checkpoint density, continuation memo size and the
-    per-task timeout/respawn budget.
+    One policy instance selects the backend composition — snapshots
+    on/off (``SnapshotBackend`` vs ``InlineBackend``) — plus checkpoint
+    density, the continuation memo size and the search policy.
     """
 
     use_snapshots: bool = True
@@ -65,20 +60,6 @@ class EnginePolicy:
     max_checkpoints_per_run: int = 64
     #: Cap on memoized run continuations (suffix splicing).
     max_continuations: int = 65536
-    #: Parallel wave width; 1 keeps execution sequential.
-    wave_jobs: int = 1
-    #: Per-task wave deadline and worker respawn budget; ``None`` keeps
-    #: the :mod:`repro.engine.executors` defaults.
-    wave_timeout_s: Optional[float] = None
-    wave_max_retries: Optional[int] = None
-    #: Which executor serves parallel plans: ``"fleet"`` (persistent
-    #: fork-server workers, :mod:`repro.engine.executors`) or
-    #: ``"inline"`` (never fan out, whatever ``wave_jobs`` says).
-    executor: str = "fleet"
-    #: How many parallel requests an engine must demand before the
-    #: fleet forks its workers — small diagnoses never cross it and
-    #: never pay a fork.
-    fleet_spinup_requests: int = DEFAULT_FLEET_SPINUP_REQUESTS
     #: Which :mod:`repro.policy` search policy shapes candidate plans
     #: (``"static"``, ``"adaptive"``, ...).  Resolved here so precedence
     #: (config > api kwarg > CLI) is decided once; the engine builds the
@@ -88,30 +69,19 @@ class EnginePolicy:
     @classmethod
     def resolve(cls, config=None, *,
                 snapshots: Optional[bool] = None,
-                wave_jobs: Optional[int] = None,
-                executor: Optional[str] = None,
                 search_policy: Optional[str] = None,
                 cli_snapshots: Optional[bool] = None,
-                cli_wave_jobs: Optional[int] = None,
-                cli_executor: Optional[str] = None,
                 cli_search_policy: Optional[str] = None) -> "EnginePolicy":
         """Resolve a policy with precedence config > api kwarg > CLI flag.
 
         ``config`` is an algorithm config (``LifsConfig`` / ``CaConfig``
         or anything duck-typed like one); when it is given, its fields
         win outright — an explicit config is the strongest statement of
-        intent.  ``snapshots`` / ``wave_jobs`` / ``executor`` /
-        ``search_policy`` are the :mod:`repro.api` keyword tier, the
-        ``cli_*`` names the parsed command-line tier; ``None`` anywhere
-        means "unset, fall through".
+        intent.  ``snapshots`` / ``search_policy`` are the
+        :mod:`repro.api` keyword tier, the ``cli_*`` names the parsed
+        command-line tier; ``None`` anywhere means "unset, fall
+        through".
         """
-        chosen = str(_pick(_cfg(config, "executor"), executor,
-                           cli_executor, default="fleet"))
-        if chosen == "wave":  # pre-2.1 name for the parallel placement
-            chosen = "fleet"
-        if chosen not in ("fleet", "inline"):
-            raise ValueError(
-                f"unknown executor {chosen!r} (choose 'fleet' or 'inline')")
         return cls(
             use_snapshots=bool(_pick(
                 _cfg(config, "use_snapshots"), snapshots, cli_snapshots,
@@ -122,13 +92,6 @@ class EnginePolicy:
                 _cfg(config, "max_checkpoints_per_run"), default=64),
             max_continuations=_pick(
                 _cfg(config, "max_continuations"), default=65536),
-            wave_jobs=int(_pick(
-                _cfg(config, "wave_jobs"), wave_jobs, cli_wave_jobs,
-                default=1)),
-            executor=chosen,
-            fleet_spinup_requests=int(_pick(
-                _cfg(config, "fleet_spinup_requests"),
-                default=DEFAULT_FLEET_SPINUP_REQUESTS)),
             search_policy=str(_pick(
                 _cfg(config, "policy"), search_policy, cli_search_policy,
                 default="static")))
@@ -158,18 +121,12 @@ class RunRequest:
     #: Capture prefix checkpoints during the run (LIFS harvests them for
     #: extension resume; flip runs never need them).
     capture_checkpoints: bool = False
-    #: The resolved capture policy.  Algorithms leave this ``None`` (the
-    #: engine derives it from ``capture_checkpoints`` and its own
-    #: policy); it is filled in when a request is *prepared* for an
-    #: executor, which executes exactly what the request says.
-    checkpoint_policy: Optional[CheckpointPolicy] = None
     #: Free-form origin label, for diagnostics.
     label: str = ""
     #: Policy-facing candidate identity (a
     #: :class:`repro.policy.protocol.CandidateMeta`): submission index,
     #: canonical sort key and experience features.  Opaque to every
-    #: backend — placement never reads it — and stripped when a request
-    #: is prepared for an executor, so it never crosses to a worker.
+    #: backend — placement never reads it.
     meta: Optional[object] = None
 
 
@@ -178,7 +135,7 @@ class RunPlan:
     """A batch of independent requests executed as one phase."""
 
     requests: List[RunRequest]
-    #: Phase label ("lifs.speculate", "ca.identify", ...), surfaced as
+    #: Phase label ("lifs.extend", "ca.identify", ...), surfaced as
     #: the ``engine.plan`` trace point so reports can show which backend
     #: served each phase.
     phase: str = ""
@@ -199,17 +156,8 @@ class RunOutcome:
     setup_steps: int = 0
     #: Steps grafted from a memoized continuation (suffix splicing).
     spliced_steps: int = 0
-    #: Whether the engine answered this request from its dedup map of
-    #: speculatively computed outcomes instead of executing it again.
-    dedup_hit: bool = False
-    #: Which backend produced the run ("inline", "snapshot", "fleet").
+    #: Which backend produced the run ("inline", "snapshot").
     backend: str = "inline"
-    #: Whether the run executed *untraced* (in a fleet worker, or as an
-    #: untraced speculative run in the parent) — the engine re-emits the
-    #: per-run ``hv.*`` counters for remote outcomes when it merges or
-    #: consumes them, and only for those, so every run is counted
-    #: exactly once.
-    remote: bool = False
 
 
 @dataclass
@@ -218,8 +166,6 @@ class EngineStats:
 
     requests: int = 0
     plans: int = 0
-    #: Requests answered from the speculation dedup map.
-    dedup_hits: int = 0
     #: Requests resumed from a checkpoint / booted fresh; their sum
     #: always equals ``requests``.
     snapshot_hits: int = 0

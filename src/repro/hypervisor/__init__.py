@@ -12,9 +12,7 @@ This package provides the same capabilities over the simulated kernel:
 * :mod:`repro.hypervisor.controller` — enforcement of reproduce/diagnosis
   schedules (the hypercall protocol of sections 4.3–4.5);
 * :mod:`repro.hypervisor.vm` — one bootable VM with reboot accounting;
-* :mod:`repro.hypervisor.manager` — the pool of reproducer/diagnoser VMs;
-* :mod:`repro.hypervisor.waves` — parallel execution of independent
-  schedule batches across child processes (docs/PERFORMANCE.md).
+* :mod:`repro.hypervisor.manager` — the pool of reproducer/diagnoser VMs.
 """
 
 from repro.hypervisor.agent import ObservedRace, UserAgent
@@ -32,7 +30,6 @@ from repro.hypervisor.snapshot import (
 )
 from repro.hypervisor.trampoline import Trampoline
 from repro.hypervisor.vm import VirtualMachine
-from repro.hypervisor.waves import WaveExecutor, WaveJob, WaveOutcome
 
 __all__ = [
     "BreakpointManager",
@@ -49,9 +46,6 @@ __all__ = [
     "VirtualMachine",
     "VmPool",
     "WatchpointManager",
-    "WaveExecutor",
-    "WaveJob",
-    "WaveOutcome",
     "capture",
     "record",
     "replay",

@@ -19,13 +19,10 @@ previous one, not the size of the machine.
 
 from __future__ import annotations
 
-import hashlib
-import io
-import pickle
 from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.kernel.memory import (MemoryImage, _canon_cells, _canon_globals,
                                  _canon_objects)
@@ -44,7 +41,7 @@ class LogSlice(Sequence):
     list, freezing the old backing), so a ``(backing, length)`` pair is a
     faithful prefix capture at O(1) cost — where tuple-copying the logs on
     every checkpoint used to make capture cost quadratic in run length.
-    Pickles as a plain tuple, keeping the wire format self-contained.
+    Pickles as a plain tuple, so a pickled snapshot is self-contained.
     """
 
     __slots__ = ("_items", "_length")
@@ -84,12 +81,6 @@ class LogSlice(Sequence):
     def __reduce__(self):
         return (tuple, (tuple(self),))
 
-#: Wire-format version for :func:`dumps_state` / :func:`loads_state`.
-#: Version 2 envelopes carry machine state as content-addressed
-#: :class:`CheckpointStore` references — a checkpoint's bytes cross each
-#: process boundary at most once, after which only its key travels.
-WIRE_VERSION = 2
-
 
 @dataclass(frozen=True)
 class MachineSnapshot:
@@ -97,7 +88,7 @@ class MachineSnapshot:
 
     ``memory`` is a :class:`~repro.kernel.memory.MemoryImage` (legacy
     full-copy dicts are still restorable); the log fields are
-    :class:`LogSlice` prefixes (tuples after a wire round trip).
+    :class:`LogSlice` prefixes (tuples after a pickle round trip).
     """
 
     memory: MemoryImage
@@ -197,208 +188,6 @@ def snapshot_state_key(snapshot: MachineSnapshot) -> Tuple:
     """:func:`machine_state_key` computed from a captured snapshot; a live
     machine and a snapshot of an equal state produce equal keys."""
     return _state_key(snapshot.memory, snapshot.locks, snapshot.threads)
-
-
-class CheckpointStore:
-    """Content-addressed store of serialized run checkpoints.
-
-    A checkpoint's key is the SHA-256 digest of its pickle blob, so two
-    sides of a process boundary that each hold a store agree on every
-    key without coordination.  The fork-server fleet
-    (:mod:`repro.engine.executors`) gives the parent one store and each
-    resident worker its fork-inherited copy; :func:`dumps_state` then
-    ships a checkpoint's bytes across a pipe at most once — afterwards
-    only the 64-hex-character key travels.
-
-    The store keeps strong references to both blob and object: a key
-    handed to another process must stay resolvable for the lifetime of
-    the executor that owns the store.
-    """
-
-    def __init__(self) -> None:
-        self._blobs: Dict[str, bytes] = {}
-        self._objects: Dict[str, object] = {}
-        #: ``id(obj) -> key`` memo so repeatedly putting the same live
-        #: checkpoint (every request of a LIFS round resumes from the
-        #: same base) pickles it once, not once per request.
-        self._key_by_id: Dict[int, str] = {}
-
-    def put(self, obj) -> str:
-        """Intern ``obj``; returns its content key."""
-        key = self._key_by_id.get(id(obj))
-        if key is not None:
-            return key
-        blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        key = hashlib.sha256(blob).hexdigest()
-        if key not in self._objects:
-            self._blobs[key] = blob
-            self._objects[key] = obj
-            # Memoize only objects the store retains.  A duplicate whose
-            # key is already interned is discarded by this method; once it
-            # is garbage-collected its id() can be reused by a *different*
-            # checkpoint, and a memo entry for it would then resolve that
-            # new object to the stale key — restoring the wrong machine.
-            self._key_by_id[id(obj)] = key
-        return key
-
-    def get(self, key: str):
-        """The interned object for ``key``; raises ``KeyError`` when the
-        sender never shipped its blob to this side."""
-        try:
-            return self._objects[key]
-        except KeyError:
-            raise KeyError(
-                f"checkpoint {key[:12]}… is not in this store "
-                f"({len(self._objects)} entries) — the sender must inline "
-                f"blobs for keys this side has never seen") from None
-
-    def blob(self, key: str) -> bytes:
-        """The pickle blob behind ``key``."""
-        return self._blobs[key]
-
-    def ingest(self, key: str, blob: bytes):
-        """Adopt a blob shipped by the other side; returns the object."""
-        obj = self._objects.get(key)
-        if obj is not None:
-            return obj
-        obj = pickle.loads(blob)
-        self._blobs[key] = blob
-        self._objects[key] = obj
-        self._key_by_id[id(obj)] = key
-        return obj
-
-    def keys(self) -> Iterable[str]:
-        return self._blobs.keys()
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._objects
-
-    def __len__(self) -> int:
-        return len(self._objects)
-
-
-def _checkpoint_type():
-    # Lazy: kernel must not import hypervisor at module scope (the
-    # hypervisor is built on the kernel, not the other way around).
-    from repro.hypervisor.snapshot import RunCheckpoint
-    return RunCheckpoint
-
-
-class _StorePickler(pickle.Pickler):
-    """Externalizes :class:`~repro.hypervisor.snapshot.RunCheckpoint`
-    values into a :class:`CheckpointStore` as persistent ids."""
-
-    def __init__(self, file, *, store: CheckpointStore,
-                 known: Optional[Set[str]], fresh: Dict[str, bytes]) -> None:
-        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
-        self._store = store
-        self._known = known
-        self._fresh = fresh
-        self._checkpoint = _checkpoint_type()
-
-    def persistent_id(self, obj):
-        if not isinstance(obj, self._checkpoint):
-            return None
-        key = self._store.put(obj)
-        if self._known is None:
-            self._fresh[key] = self._store.blob(key)
-        elif key not in self._known:
-            self._fresh[key] = self._store.blob(key)
-            self._known.add(key)
-        return key
-
-
-class _StoreUnpickler(pickle.Unpickler):
-    """Resolves persistent ids back out of a :class:`CheckpointStore`."""
-
-    def __init__(self, file, *, store: Optional[CheckpointStore]) -> None:
-        super().__init__(file)
-        self._store = store
-
-    def persistent_load(self, key):
-        if self._store is None:
-            raise ValueError(
-                "payload references checkpoint-store keys but no store= "
-                "was given to loads_state(); pass the CheckpointStore "
-                "shared with the sender")
-        return self._store.get(key)
-
-
-_V1_UPGRADE_HINT = (
-    "snapshot wire version 1 is no longer readable: since WIRE_VERSION=2 "
-    "the dumps_state() envelope carries content-addressed checkpoint "
-    "references (repro.kernel.snapshot.CheckpointStore) instead of inline "
-    "machine state.  Re-serialize the payload with this tree's "
-    "dumps_state(), or route dispatch through "
-    "repro.engine.executors.make_executor(), which manages the store for "
-    "both sides of the pipe.")
-
-
-def dumps_state(obj, *, store: Optional[CheckpointStore] = None,
-                known: Optional[Set[str]] = None) -> bytes:
-    """Serialize schedules, machine snapshots and run checkpoints for a
-    process boundary (the fork-server fleet of
-    :mod:`repro.engine.executors`).
-
-    Everything the hypervisor ships across a wave — :class:`Schedule`,
-    :class:`MachineSnapshot`,
-    :class:`~repro.hypervisor.snapshot.RunCheckpoint`, :class:`RunResult`
-    — is built from module-level frozen dataclasses and enums, so the
-    round trip is exact: a deserialized checkpoint restores to the same
-    :func:`snapshot_state_key` as the original.  The payload is wrapped
-    in a version envelope so a reader can reject a foreign format
-    instead of mis-restoring it.
-
-    With ``store=`` given, every :class:`RunCheckpoint` reachable from
-    ``obj`` is replaced by its content key; blobs the receiver has not
-    seen (keys missing from ``known``) are inlined alongside the body so
-    the receiver's store can ingest them.  ``known`` is the sender's
-    record of what the receiver holds — keys shipped here are added to
-    it, so each checkpoint crosses the pipe once.  Without ``store=``
-    checkpoints still travel as store blobs, just inlined every time
-    (self-contained payloads, e.g. tests and one-shot handoffs).
-    """
-    body = io.BytesIO()
-    fresh: Dict[str, bytes] = {}
-    local_store = store if store is not None else CheckpointStore()
-    pickler = _StorePickler(body, store=local_store,
-                            known=known if store is not None else None,
-                            fresh=fresh)
-    pickler.dump(obj)
-    return pickle.dumps((WIRE_VERSION, fresh, body.getvalue()),
-                        protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def loads_state(data: bytes, *, store: Optional[CheckpointStore] = None,
-                known: Optional[Set[str]] = None):
-    """Inverse of :func:`dumps_state`; rejects foreign wire versions.
-
-    Inlined checkpoint blobs are ingested into ``store`` (and recorded
-    in ``known``) before the body is deserialized; checkpoint references
-    resolve out of the store, so a checkpoint received twice is the same
-    object both times.  A v1 payload (inline machine state) is rejected
-    with the upgrade path; so is a reference-carrying payload when no
-    ``store=`` is given.
-    """
-    envelope = pickle.loads(data)
-    if not isinstance(envelope, tuple) or len(envelope) not in (2, 3):
-        raise ValueError("not a dumps_state payload")
-    version = envelope[0]
-    if version == 1 and len(envelope) == 2:
-        raise ValueError(_V1_UPGRADE_HINT)
-    if version != WIRE_VERSION or len(envelope) != 3:
-        raise ValueError(f"unsupported snapshot wire version {version!r} "
-                         f"(expected {WIRE_VERSION})")
-    _, fresh, body = envelope
-    local_store = store
-    if fresh:
-        if local_store is None:
-            local_store = CheckpointStore()
-        for key, blob in fresh.items():
-            local_store.ingest(key, blob)
-            if known is not None:
-                known.add(key)
-    return _StoreUnpickler(io.BytesIO(body), store=local_store).load()
 
 
 def restore_machine(machine: "KernelMachine",

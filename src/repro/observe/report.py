@@ -133,8 +133,7 @@ def render_trace_report(
     if counters.get("engine.requests"):
         lines += ["", "execution engine: "
                       f"{counters.get('engine.requests', 0)} requests over "
-                      f"{counters.get('engine.plans', 0)} plans, "
-                      f"{counters.get('engine.dedup_hits', 0)} dedup hits"]
+                      f"{counters.get('engine.plans', 0)} plans"]
         backends = ", ".join(
             f"{name.split('.', 2)[2]}={count}"
             for name, count in sorted(counters.items())
@@ -162,18 +161,6 @@ def render_trace_report(
                   f"  splices: {counters.get('snapshot.splices', 0)} runs "
                   f"grafted a memoized suffix "
                   f"({counters.get('snapshot.spliced_steps', 0)} steps)"]
-
-    if counters.get("hv.wave.batches") or counters.get("hv.wave.inline"):
-        dispatched = counters.get("hv.wave.dispatched", 0)
-        lines += ["", "parallel waves: "
-                      f"{counters.get('hv.wave.batches', 0)} batches, "
-                      f"{counters.get('hv.wave.jobs', 0)} jobs "
-                      f"({dispatched} dispatched to children, "
-                      f"{counters.get('hv.wave.inline', 0)} inline, "
-                      f"{counters.get('hv.wave.fallbacks', 0)} fallbacks)"]
-        if counters.get("hv.wave.discarded"):
-            lines += [f"  {counters['hv.wave.discarded']} speculative "
-                      f"result(s) discarded on early exit"]
 
     if counters.get("policy.ranked") or counters.get("policy.pruned"):
         lines += ["", "search policy: "

@@ -1,28 +1,17 @@
-"""Worker pools (deprecated shims) and the in-process fallback.
+"""The in-process job executor.
 
-Process dispatch for triage jobs lives in
-:mod:`repro.engine.executors` since the executor redesign: one front
-door, :func:`repro.engine.executors.make_executor`, builds either a
-persistent fork-server :class:`~repro.engine.executors.JobExecutor`
-(``jobs > 1``) or the :class:`InProcessPool` here (``jobs = 1``).
-
-This module keeps:
-
-* :class:`InProcessPool` — the serial placement of the job-executor
-  contract, still canonical (it is what ``make_executor(worker=...,
-  jobs=1)`` returns);
-* :class:`WorkerPool` and :func:`make_pool` — **deprecated** shims over
-  the fleet-backed executor, kept one release with migration notes in
-  their docstrings.
+Process dispatch for triage jobs goes through one front door,
+:func:`repro.engine.executors.make_executor`: it builds a persistent
+fork-server :class:`~repro.engine.executors.JobExecutor` for ``jobs >
+1`` and the :class:`InProcessPool` here for ``jobs = 1``.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from typing import Callable, List, Optional, Sequence
 
-from repro.service.queue import JobOutcome, RetryPolicy, TriageJob
+from repro.service.queue import JobOutcome, TriageJob
 
 Worker = Callable[[dict], dict]
 
@@ -73,78 +62,3 @@ class InProcessPool:
     def close(self) -> None:
         """No resident workers to retire; present so every job executor
         shares one lifecycle contract."""
-
-
-class WorkerPool:
-    """**Deprecated** — use :func:`repro.engine.executors.make_executor`.
-
-    The historical process-per-attempt pool.  This shim keeps the
-    constructor and ``run(jobs, on_complete)`` contract alive for one
-    release on top of the persistent fork-server fleet
-    (:class:`~repro.engine.executors.JobExecutor`): same per-job
-    timeout, worker-death retry with backoff and deterministic-failure
-    reporting, but workers fork once and stay resident instead of
-    forking per attempt.  Migration::
-
-        # before
-        pool = WorkerPool(worker, jobs=4, retry=policy)
-        pool.run(jobs, on_complete=cb)
-
-        # after
-        from repro.engine.executors import make_executor
-        executor = make_executor(worker=worker, jobs=4, retry=policy)
-        executor.run(jobs, on_complete=cb)
-        executor.close()   # retire the resident workers
-    """
-
-    def __init__(self, worker: Worker, jobs: int = 2,
-                 retry: Optional[RetryPolicy] = None,
-                 context: Optional[str] = None,
-                 poll_interval_s: float = 0.01) -> None:
-        warnings.warn(
-            "repro.service.pool.WorkerPool is deprecated; build job "
-            "executors with repro.engine.executors.make_executor("
-            "worker=..., jobs=...) — see the class docstring for the "
-            "migration recipe",
-            DeprecationWarning, stacklevel=2)
-        from repro.engine.executors import JobExecutor
-
-        if jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        self.worker = worker
-        self.jobs = jobs
-        self.retry = retry or RetryPolicy()
-        # The historical pool forked a process per attempt regardless of
-        # width, so the shim always builds the process-backed executor
-        # (never the in-process fallback), even at jobs=1.
-        self._executor = JobExecutor(worker, jobs=jobs, retry=self.retry,
-                                     context=context)
-
-    def run(self, jobs: Sequence[TriageJob],
-            on_complete: Optional[Callable[[TriageJob], None]] = None,
-            ) -> List[TriageJob]:
-        """Execute every job to a terminal outcome; returns the same
-        objects, mutated in place (order preserved)."""
-        return self._executor.run(jobs, on_complete=on_complete)
-
-    def close(self) -> None:
-        self._executor.close()
-
-
-def make_pool(worker: Worker, jobs: int = 1,
-              retry: Optional[RetryPolicy] = None,
-              context: Optional[str] = None):
-    """**Deprecated** — call
-    :func:`repro.engine.executors.make_executor` with ``worker=``
-    instead; it is the same selection logic (processes when ``jobs >
-    1``, in-process execution otherwise) behind the unified dispatch
-    front door, and its process pool is the resident fork-server fleet.
-    """
-    warnings.warn(
-        "repro.service.pool.make_pool is deprecated; use "
-        "repro.engine.executors.make_executor(worker=..., jobs=...)",
-        DeprecationWarning, stacklevel=2)
-    from repro.engine.executors import make_executor
-
-    return make_executor(worker=worker, jobs=jobs, retry=retry,
-                         context=context)

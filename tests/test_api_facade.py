@@ -12,7 +12,7 @@ from repro.corpus import registry
 
 class TestVersion:
     def test_version_bumped(self):
-        assert repro.__version__ == "2.0.0"
+        assert repro.__version__ == "3.0.0"
 
     def test_facade_reexported_at_top_level(self):
         assert repro.diagnose is api.diagnose
@@ -99,6 +99,40 @@ class TestDeprecationShimsRemoved:
         import repro.analysis
         assert "evaluate_bug" not in repro.analysis.__all__
         assert not hasattr(repro.analysis, "evaluate_bug")
+
+
+class TestRemovedIn3:
+    """3.0 removed the intra-diagnosis schedule fleet: its flags fail
+    loudly, and api.diagnose(executor=) accepts only the in-process
+    placement every schedule now uses."""
+
+    @pytest.mark.parametrize("flag", [["--parallel-waves", "2"],
+                                      ["--executor", "fleet"]])
+    def test_removed_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "SYZ-05", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_diagnose_accepts_inline_executor(self):
+        default = api.diagnose("SYZ-05")
+        inline = api.diagnose("SYZ-05", executor="inline")
+        assert inline.chain.render() == default.chain.render()
+        assert inline.total_lifs_schedules == default.total_lifs_schedules
+        assert inline.ca_schedules == default.ca_schedules
+
+    @pytest.mark.parametrize("executor", ["fleet", "wave", ""])
+    def test_diagnose_rejects_other_executors(self, executor):
+        with pytest.raises(ValueError, match="in-process"):
+            api.diagnose("SYZ-05", executor=executor)
+
+    def test_shims_gone(self):
+        with pytest.raises(ImportError):
+            from repro.hypervisor.waves import WaveExecutor  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.service.pool import WorkerPool  # noqa: F401
+        with pytest.raises(ImportError):
+            from repro.kernel.snapshot import dumps_state  # noqa: F401
 
 
 class TestUnifiedCliFlags:

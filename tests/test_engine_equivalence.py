@@ -20,17 +20,10 @@ IMAGE = fig2_image()
 A_LABELS = ["A2", "A5", "A6", "A12"]
 B_LABELS = ["B2", "B11", "B12", "B17a"]
 
-#: Every backend composition the engine can select.  ``wave_jobs=2``
-#: genuinely forks resident fleet workers (Linux, non-daemonic test
-#: runner); the zero spin-up threshold makes the first engage wait for
-#: worker readiness, so plans truly dispatch remotely.
+#: Every backend the engine can select.
 POLICIES = {
     "inline": EnginePolicy(use_snapshots=False),
     "snapshot": EnginePolicy(use_snapshots=True),
-    "fleet": EnginePolicy(use_snapshots=False, wave_jobs=2,
-                          fleet_spinup_requests=0),
-    "snapshot+fleet": EnginePolicy(use_snapshots=True, wave_jobs=2,
-                                   fleet_spinup_requests=0),
 }
 
 
@@ -72,12 +65,9 @@ class TestBackendEquivalence:
         results = {}
         for name, policy in POLICIES.items():
             engine = ScheduleExecutionEngine(fig2_machine, policy)
-            try:
-                outcomes = engine.run_plan(RunPlan(
-                    [RunRequest(schedule=s, capture_checkpoints=True)
-                     for s in schedules], phase="equivalence"))
-            finally:
-                engine.close()
+            outcomes = engine.run_plan(RunPlan(
+                [RunRequest(schedule=s, capture_checkpoints=True)
+                 for s in schedules], phase="equivalence"))
             results[name] = [_run_facts(o) for o in outcomes]
         baseline = results.pop("inline")
         for name, facts in results.items():
@@ -89,13 +79,9 @@ class TestBackendEquivalence:
         for policy in POLICIES.values():
             run_engine = ScheduleExecutionEngine(fig2_machine, policy)
             plan_engine = ScheduleExecutionEngine(fig2_machine, policy)
-            try:
-                via_run = run_engine.run(RunRequest(schedule=schedule))
-                via_plan = plan_engine.run_plan(
-                    RunPlan([RunRequest(schedule=schedule)]))[0]
-            finally:
-                run_engine.close()
-                plan_engine.close()
+            via_run = run_engine.run(RunRequest(schedule=schedule))
+            via_plan = plan_engine.run_plan(
+                RunPlan([RunRequest(schedule=schedule)]))[0]
             assert _run_facts(via_run) == _run_facts(via_plan)
 
     def test_benign_program_equivalence(self):
@@ -106,78 +92,61 @@ class TestBackendEquivalence:
         baseline = None
         for policy in POLICIES.values():
             engine = ScheduleExecutionEngine(two_counter_machine, policy)
-            try:
-                facts = [_run_facts(o) for o in engine.run_plan(
-                    RunPlan([RunRequest(schedule=s) for s in schedules]))]
-            finally:
-                engine.close()
+            facts = [_run_facts(o) for o in engine.run_plan(
+                RunPlan([RunRequest(schedule=s) for s in schedules]))]
             if baseline is None:
                 baseline = facts
             assert facts == baseline
 
 
 class TestSpeculationDedup:
-    def test_speculate_then_run_hits_memo(self):
-        schedules = [_schedule([("A6", "B")], True, "a"),
-                     _schedule([("B12", "A")], False, "b")]
-        engine = ScheduleExecutionEngine(
-            fig2_machine, EnginePolicy(use_snapshots=False, wave_jobs=2,
-                                       fleet_spinup_requests=0))
-        try:
-            engine.speculate(RunPlan(
-                [RunRequest(schedule=s) for s in schedules], phase="spec"))
-            outcome = engine.run(RunRequest(schedule=schedules[0]))
-            assert outcome.dedup_hit
-            assert engine.stats.dedup_hits == 1
-            # The second speculation result is still queued; a fresh
-            # speculate drops it and discard counts nothing afterwards.
-            engine.speculate(RunPlan([], phase="spec"))
-            assert engine.discard_speculation() == 0
-        finally:
-            engine.close()
+    """The engine keeps no result memo: every request executes."""
 
     def test_plain_runs_never_dedup(self):
         """Two identical requests execute twice: CA's edge recheck
         depends on plain runs never reusing results."""
         schedule = _schedule([("A6", None)], True, "x")
         engine = ScheduleExecutionEngine(fig2_machine, EnginePolicy())
-        engine.run(RunRequest(schedule=schedule))
-        outcome = engine.run(RunRequest(schedule=schedule))
-        assert not outcome.dedup_hit
+        first = engine.run(RunRequest(schedule=schedule))
+        second = engine.run(RunRequest(schedule=schedule))
+        assert second is not first and second.run is not first.run
         assert engine.stats.requests == 2
-        assert engine.stats.dedup_hits == 0
 
 
 class TestEnginePolicyResolution:
     def test_defaults(self):
         policy = EnginePolicy.resolve()
         assert policy.use_snapshots is True
-        assert policy.wave_jobs == 1
+        assert policy.search_policy == "static"
 
     def test_cli_flags_beat_defaults(self):
-        policy = EnginePolicy.resolve(cli_snapshots=False, cli_wave_jobs=3)
+        policy = EnginePolicy.resolve(cli_snapshots=False,
+                                      cli_search_policy="adaptive")
         assert policy.use_snapshots is False
-        assert policy.wave_jobs == 3
+        assert policy.search_policy == "adaptive"
 
     def test_api_kwargs_beat_cli_flags(self):
-        policy = EnginePolicy.resolve(snapshots=True, wave_jobs=2,
-                                      cli_snapshots=False, cli_wave_jobs=8)
+        policy = EnginePolicy.resolve(snapshots=True, search_policy="static",
+                                      cli_snapshots=False,
+                                      cli_search_policy="adaptive")
         assert policy.use_snapshots is True
-        assert policy.wave_jobs == 2
+        assert policy.search_policy == "static"
 
     def test_config_beats_everything(self):
-        config = LifsConfig(use_snapshots=False, wave_jobs=4)
+        config = LifsConfig(use_snapshots=False, policy="adaptive")
         policy = EnginePolicy.resolve(config=config, snapshots=True,
-                                      wave_jobs=1, cli_snapshots=True,
-                                      cli_wave_jobs=9)
+                                      search_policy="static",
+                                      cli_snapshots=True,
+                                      cli_search_policy="static")
         assert policy.use_snapshots is False
-        assert policy.wave_jobs == 4
+        assert policy.search_policy == "adaptive"
 
     def test_unset_tiers_fall_through(self):
-        policy = EnginePolicy.resolve(snapshots=None, wave_jobs=None,
-                                      cli_snapshots=None, cli_wave_jobs=2)
+        policy = EnginePolicy.resolve(snapshots=None, search_policy=None,
+                                      cli_snapshots=None,
+                                      cli_search_policy="adaptive")
         assert policy.use_snapshots is True
-        assert policy.wave_jobs == 2
+        assert policy.search_policy == "adaptive"
 
     def test_config_carries_tuning_knobs(self):
         config = LifsConfig(snapshot_interval=4, max_checkpoints_per_run=16,
@@ -189,9 +158,9 @@ class TestEnginePolicyResolution:
 
     def test_ca_config_resolves_too(self):
         policy = EnginePolicy.for_ca(CaConfig(use_snapshots=False,
-                                              wave_jobs=2))
+                                              policy="adaptive"))
         assert policy.use_snapshots is False
-        assert policy.wave_jobs == 2
+        assert policy.search_policy == "adaptive"
 
 
 class TestAlgorithmPurity:
@@ -201,8 +170,7 @@ class TestAlgorithmPurity:
     own surface are fair game)."""
 
     #: Dispatch internals no algorithm/orchestrator module may name.
-    FORBIDDEN = ("WaveExecutor", "WorkerPool", "InProcessPool",
-                 "WorkerFleet", "FleetExecutor", "JobExecutor",
+    FORBIDDEN = ("InProcessPool", "WorkerFleet", "JobExecutor",
                  "ContinuationCache", "CheckpointPolicy",
                  "repro.service.pool", "repro.engine.fleet")
 

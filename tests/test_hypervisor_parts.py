@@ -209,31 +209,6 @@ class TestVmPool:
         pool.execute(serial_schedule(["A", "B"]))
         assert pool.vms[0].accounting.runs == 1
 
-    def test_wave_execution_matches_sequential(self):
-        # wave_jobs=2 runs the batch in child processes; results and
-        # per-VM accounting must match the sequential pool exactly.
-        def facts(run):
-            return (
-                [(t.thread, t.instr_addr, t.seq) for t in run.trace],
-                [(a.thread, a.data_addr, a.seq) for a in run.accesses],
-                run.failure, run.steps, run.interleavings,
-            )
-
-        batch = [serial_schedule(["A", "B"]), serial_schedule(["B", "A"]),
-                 serial_schedule(["A", "B", "A"])]
-        seq = VmPool(fig2_machine, vm_count=2)
-        par = VmPool(fig2_machine, vm_count=2, wave_jobs=2)
-        seq_runs = seq.execute_all(batch)
-        par_runs = par.execute_all(batch)
-        assert [facts(r) for r in par_runs] == [facts(r) for r in seq_runs]
-        assert par.total_runs == seq.total_runs == 3
-        assert par.max_batch_width == seq.max_batch_width == 2
-        assert par.parallel_speedup() == seq.parallel_speedup() == 2.0
-        assert ([vm.accounting.runs for vm in par.vms]
-                == [vm.accounting.runs for vm in seq.vms])
-        assert ([vm.accounting.steps for vm in par.vms]
-                == [vm.accounting.steps for vm in seq.vms])
-
     def test_reset_alias(self):
         pool = VmPool(fig2_machine, vm_count=2)
         pool.execute(serial_schedule(["A", "B"]))

@@ -26,7 +26,7 @@ def _lifs_outcomes(bug_id, monkeypatch):
     """Diagnose ``bug_id`` and return ``(request, outcome)`` for every
     schedule LIFS executed (the requests that capture checkpoints)."""
     seen = []
-    execute = ScheduleExecutionEngine._execute_local
+    execute = ScheduleExecutionEngine.run
 
     def recording(self, request):
         outcome = execute(self, request)
@@ -34,7 +34,7 @@ def _lifs_outcomes(bug_id, monkeypatch):
             seen.append((request, outcome))
         return outcome
 
-    monkeypatch.setattr(ScheduleExecutionEngine, "_execute_local", recording)
+    monkeypatch.setattr(ScheduleExecutionEngine, "run", recording)
     api.diagnose(bug_id)
     return seen
 
@@ -175,7 +175,7 @@ class TestSpliceTails:
                                            monkeypatch):
         executed = []
         donors = []
-        execute = ScheduleExecutionEngine._execute_local
+        execute = ScheduleExecutionEngine.run
         probe = SpliceSession.probe
 
         def recording_execute(self, request):
@@ -192,7 +192,7 @@ class TestSpliceTails:
                 donors.append(entry[0])
             return tail
 
-        monkeypatch.setattr(ScheduleExecutionEngine, "_execute_local",
+        monkeypatch.setattr(ScheduleExecutionEngine, "run",
                             recording_execute)
         monkeypatch.setattr(SpliceSession, "probe", recording_probe)
         api.diagnose(bug_id)

@@ -1,10 +1,8 @@
 """Tests for the job model and the job executors (fault handling).
 
-Process dispatch lives in :mod:`repro.engine.executors` since the
-executor redesign: ``make_executor(worker=...)`` builds either the
-serial :class:`InProcessPool` or a fleet-backed :class:`JobExecutor`.
-The deprecated ``WorkerPool`` / ``make_pool`` shims are covered at the
-bottom (construction must warn, behaviour must be preserved).
+Process dispatch lives in :mod:`repro.engine.executors`:
+``make_executor(worker=...)`` builds either the serial
+:class:`InProcessPool` or a fleet-backed :class:`JobExecutor`.
 """
 
 import os
@@ -15,11 +13,7 @@ import pytest
 
 from repro.engine.executors import JobExecutor, make_executor
 from repro.engine.fleet import WorkerFleet
-from repro.service.pool import (
-    InProcessPool,
-    WorkerPool,
-    make_pool,
-)
+from repro.service.pool import InProcessPool
 from repro.service.queue import (
     JobOutcome,
     JobQueue,
@@ -169,9 +163,11 @@ class TestMakeExecutorDispatch:
         assert isinstance(executor, InProcessPool)
 
     def test_rejects_both_and_neither_family(self):
-        with pytest.raises(TypeError, match="exactly one"):
+        # worker= is required; the machine_factory= schedule family was
+        # removed in 3.0 and must not be silently ignored.
+        with pytest.raises(TypeError, match="worker"):
             make_executor()
-        with pytest.raises(TypeError, match="exactly one"):
+        with pytest.raises(TypeError, match="machine_factory"):
             make_executor(worker=_ok_worker,
                           machine_factory=lambda: None)
 
@@ -251,7 +247,7 @@ class TestJobExecutor:
         assert "SystemExit: worker bailed" in job.error
 
 
-def _late_runner(payload, state):
+def _late_runner(payload):
     """Fleet runner that posts its result late (past the deadline)."""
     time.sleep(payload["sleep_s"])
     return {"late": True}
@@ -282,35 +278,6 @@ class TestDeadlineDrain:
             assert events[0].body == {"late": True}
         finally:
             fleet.close()
-
-
-class TestDeprecatedShims:
-    def test_worker_pool_warns_and_still_runs(self):
-        jobs = [_job({"value": i}) for i in range(3)]
-        with pytest.warns(DeprecationWarning, match="make_executor"):
-            pool = WorkerPool(_ok_worker, jobs=2)
-        try:
-            pool.run(jobs)
-        finally:
-            pool.close()
-        assert all(j.outcome is JobOutcome.SUCCEEDED for j in jobs)
-        assert [j.result["echo"] for j in jobs] == [0, 1, 2]
-
-    def test_worker_pool_rejects_zero_jobs(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                WorkerPool(_ok_worker, jobs=0)
-
-    def test_make_pool_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="make_executor"):
-            serial = make_pool(_ok_worker, jobs=1)
-        assert isinstance(serial, InProcessPool)
-        with pytest.warns(DeprecationWarning, match="make_executor"):
-            wide = make_pool(_ok_worker, jobs=4)
-        try:
-            assert isinstance(wide, JobExecutor)
-        finally:
-            wide.close()
 
 
 def _dispatching_worker(payload):

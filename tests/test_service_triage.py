@@ -17,7 +17,7 @@ from repro.service.artifacts import (
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import JobOutcome
 from repro.service.store import ResultStore
-from repro.service.triage import TriageService
+from repro.service.triage import TriageService, diagnose_job
 from repro.trace.syzkaller import run_bug_finder
 
 
@@ -78,6 +78,16 @@ class TestTriageService:
         service.submit_artifact(artifact)
         summary = service.run()
         assert summary.results[0].chain == api.diagnose(bug).chain.render()
+
+    def test_pre_3_0_payload_fields_are_ignored(self):
+        """Daemon journal lines written before 3.0 carry "wave_jobs",
+        and 2.x triage payloads "executor": replaying one diagnoses
+        exactly like a payload without them."""
+        artifact = CrashArtifact.from_report(run_bug_finder(get_bug("SYZ-04")))
+        payload = {"mode": "artifact", "artifact": artifact.render(),
+                   "bug_id": "SYZ-04", "policy": "static"}
+        legacy = dict(payload, wave_jobs=2, executor="fleet")
+        assert diagnose_job(legacy) == diagnose_job(payload)
 
     def test_cache_hit_across_service_instances(self, tmp_path):
         store_path = str(tmp_path / "store.jsonl")
