@@ -2,7 +2,7 @@
 
 Three measurements over the 22-bug corpus, all on the instruction-level
 fast path (opcode dispatch table, decoded operands, interval-indexed
-memory, O(dirty) captures, generation-cached state keys):
+memory, O(dirty) captures):
 
 * **steps/sec** — raw interpretation: every bug's known failing
   schedule replayed from its boot checkpoint, fully interpreted each
@@ -20,8 +20,10 @@ memory, O(dirty) captures, generation-cached state keys):
 Results land in ``benchmarks/output/bench_interp.json``.  Like the
 sibling snapshot benchmark this avoids pytest-benchmark so CI can run
 it directly; ``BENCH_INTERP_BUGS=<n>`` restricts to the first *n* bugs
-(CI uses 3).  The >= 5x floor over the pre-fast-path baseline is
-asserted only on the full corpus.
+(CI uses 3) and writes ``bench_interp_subset.{json,txt}`` instead, so a
+subset run never overwrites the full-corpus artifact.  The >= 5x floor
+over the pre-fast-path baseline is a wall-clock ratio and is asserted
+only on the full corpus.
 """
 
 import json
@@ -175,7 +177,8 @@ def test_interp_speed():
                   replay["schedules_per_sec"])
     table.add_row("baseline schedules/sec", BASELINE_SCHEDULES_PER_SEC)
     table.add_row("speedup", f"{speedup:.2f}x")
-    emit("bench_interp", table.render())
+    artifact = "bench_interp_subset" if subset else "bench_interp"
+    emit(artifact, table.render())
 
     payload = {
         "bugs": len(bugs),
@@ -188,7 +191,7 @@ def test_interp_speed():
         "replay": replay,
     }
     os.makedirs(OUTPUT_DIR, exist_ok=True)
-    with open(os.path.join(OUTPUT_DIR, "bench_interp.json"), "w") as fh:
+    with open(os.path.join(OUTPUT_DIR, f"{artifact}.json"), "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 

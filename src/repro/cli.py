@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "canonical threads")
     diagnose.add_argument("--no-snapshot", action="store_true",
                           help="ablation: disable the prefix-checkpoint "
-                               "engine (snapshot/resume + suffix splicing); "
+                               "engine (snapshot/resume); "
                                "results are bit-identical, only snapshot.* "
                                "accounting differs")
     diagnose.add_argument("--vms", type=int, default=32,

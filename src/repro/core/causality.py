@@ -111,16 +111,11 @@ class CaStats:
     #: sum always equals ``schedules_executed``.
     snapshot_hits: int = 0
     snapshot_misses: int = 0
-    #: Boot-setup and spliced-suffix steps resumed flips did *not*
-    #: re-interpret.
+    #: Boot-setup steps resumed flips did *not* re-interpret.
     saved_steps: int = 0
     #: Steps the interpreter really executed (runs, plus setup on fresh
     #: boots); ``total_steps`` keeps whole-run semantics either way.
     interpreted_steps: int = 0
-    #: Flips whose suffix was grafted from an earlier flip after state
-    #: convergence, and the steps those grafts covered.
-    snapshot_splices: int = 0
-    snapshot_spliced_steps: int = 0
 
 
 @dataclass
@@ -164,15 +159,11 @@ class CaConfig:
     #: edges) are provably unflippable, so testing them is wasted work.
     use_happens_before: bool = False
     #: Prefix-checkpoint engine: run every flip on one vehicle machine
-    #: restored from a boot checkpoint instead of rebooting per flip, and
-    #: splice memoized suffixes once a flip's reordered window resolves
-    #: and its state converges back onto an earlier flip's trajectory.
+    #: restored from a boot checkpoint instead of rebooting per flip.
     #: Results are bit-identical with the engine on or off (the
     #: ``--no-snapshot`` ablation); only ``ca.snapshot_*`` accounting
     #: differs.
     use_snapshots: bool = True
-    #: Cap on memoized flip continuations (suffix splicing).
-    max_continuations: int = 65536
     #: Which :mod:`repro.policy` search policy shapes the flip batches
     #: (``--policy``): ``"static"`` (submission order, no pruning, the
     #: default) or ``"adaptive"`` (experience-ranked ordering plus
@@ -203,7 +194,7 @@ class CausalityAnalysis:
         self.target = target or FailureMatcher(
             kind=failure.kind, location=failure.instr_label)
         self.config = config or CaConfig()
-        # All execution placement (snapshot resume/splice, coverage
+        # All execution placement (snapshot resume, coverage
         # pinning) lives in the engine.  CA needs a booted image up front
         # anyway, so the engine primes eagerly: the boot machine doubles
         # as the snapshot vehicle, and a kcov-instrumented boot pins
@@ -428,7 +419,7 @@ class CausalityAnalysis:
         meta.  A pruned candidate comes back as ``None`` — the caller
         classifies it without a run.  CA records each executed outcome's
         ``ca.flip`` span and its own stats as the outcome comes back;
-        suffix splicing changes accounting, never bits.
+        snapshot resume changes accounting, never bits.
         """
         flip_units: List[Optional[RaceUnit]] = (
             list(units) if units is not None else [None] * len(requests))
@@ -502,8 +493,6 @@ class CausalityAnalysis:
         self.stats.snapshot_misses = engine_stats.snapshot_misses
         self.stats.saved_steps = engine_stats.saved_steps
         self.stats.interpreted_steps = engine_stats.interpreted_steps
-        self.stats.snapshot_splices = engine_stats.splices
-        self.stats.snapshot_spliced_steps = engine_stats.spliced_steps
 
     def _trace_outcome(self, span, result: CausalityResult) -> None:
         """Publish the analysis accounting as counters + span attrs."""

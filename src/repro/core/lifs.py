@@ -106,9 +106,6 @@ class LifsConfig:
     snapshot_interval: int = 0
     #: Per-run cap on captured checkpoints.
     max_checkpoints_per_run: int = 64
-    #: Cap on memoized run continuations (suffix splicing); each entry
-    #: pins its donor run for the duration of the search.
-    max_continuations: int = 65536
     #: Retain full ``RunResult``s for ``sample_runs`` instead of the
     #: lightweight summaries that are replayed on demand.
     keep_full_runs: bool = False
@@ -147,12 +144,6 @@ class SearchStats:
     #: boots).  With snapshots off this equals total_steps + setup per run;
     #: ``total_steps`` itself keeps whole-run semantics either way.
     interpreted_steps: int = 0
-    #: Runs whose suffix was grafted from a memoized continuation after
-    #: state convergence (the engine's continuation cache; see
-    #: docs/PERFORMANCE.md), and the steps those grafts covered without
-    #: interpretation.
-    snapshot_splices: int = 0
-    snapshot_spliced_steps: int = 0
 
 
 @dataclass(frozen=True)
@@ -282,7 +273,7 @@ class LeastInterleavingFirstSearch:
         self._tried_schedules: Set[Tuple] = set()
         self._run_summaries: List[RunSummary] = []
         self._kept_runs: List[RunResult] = []
-        # All execution placement (snapshot resume/splice, coverage
+        # All execution placement (snapshot resume, coverage
         # pinning) lives in the engine; the search only decides *which*
         # schedules to run and in what order.
         self.engine = ScheduleExecutionEngine(
@@ -310,8 +301,6 @@ class LeastInterleavingFirstSearch:
         self.stats.resumed_steps = engine_stats.resumed_steps
         self.stats.saved_steps = engine_stats.saved_steps
         self.stats.interpreted_steps = engine_stats.interpreted_steps
-        self.stats.snapshot_splices = engine_stats.splices
-        self.stats.snapshot_spliced_steps = engine_stats.spliced_steps
 
     def _trace_outcome(self, span, result: LifsResult) -> None:
         """Publish the search accounting: per-depth points, aggregate

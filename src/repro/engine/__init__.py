@@ -5,7 +5,7 @@ interprets instructions".  LIFS and Causality Analysis emit
 :class:`RunRequest`/:class:`RunPlan` values and consume
 :class:`RunOutcome`\\ s; the :class:`ScheduleExecutionEngine` decides
 *how* each schedule executes — inline fresh boots or snapshot
-resume/splice on a vehicle machine — under one :class:`EnginePolicy`
+resume on a vehicle machine — under one :class:`EnginePolicy`
 resolved from algorithm configs, api keywords and CLI flags.  The
 process fan-out across independent diagnoses (triage and evaluation
 ``--jobs``, the daemon's workers) is :func:`make_executor`.  See

@@ -6,16 +6,16 @@ batch of them) into :class:`~repro.engine.protocol.RunOutcome`\\ s; the
 them per request and owns all accounting.  The contract every backend
 must keep is the bit-identity invariant the whole pipeline is built on:
 where and how a schedule executes never changes the run's bits — only
-the placement facts reported on the outcome (resumed/prefix/setup/
-spliced steps) differ.
+the placement facts reported on the outcome (resumed/prefix/setup
+steps) differ.
 
 * :class:`InlineBackend`   — boot a fresh machine per request.  The
   ``--no-snapshot`` baseline and the only legal backend for
   coverage-instrumented machines (kcov callbacks must fire over every
   instruction).
 * :class:`SnapshotBackend` — one vehicle machine restored in place from
-  boot/prefix checkpoints (:class:`CheckpointPolicy` captures,
-  :class:`ContinuationCache` suffix splicing).  docs/PERFORMANCE.md.
+  boot/prefix checkpoints (:class:`CheckpointPolicy` captures); each run
+  interprets its own suffix.  docs/PERFORMANCE.md.
 
 Candidate *selection* is not a backend's job: which requests of a plan
 execute, and in what order, is decided before any backend sees them, by
@@ -32,8 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.hypervisor.controller import (ContinuationCache,
-                                         ScheduleController, SpliceSession)
+from repro.hypervisor.controller import ScheduleController
 from repro.hypervisor.snapshot import (CheckpointPolicy, RunCheckpoint,
                                        boot_checkpoint)
 
@@ -62,8 +61,7 @@ class InlineBackend:
         return RunOutcome(
             run=run, checkpoints=tuple(controller.checkpoints),
             resumed=False, prefix_steps=0,
-            setup_steps=machine.setup_steps,
-            spliced_steps=controller.spliced_steps, backend=self.name)
+            setup_steps=machine.setup_steps, backend=self.name)
 
 
 class SnapshotBackend:
@@ -84,8 +82,6 @@ class SnapshotBackend:
         self.active = bool(engine.policy.use_snapshots)
         self.vehicle: Optional["KernelMachine"] = None
         self.boot_checkpoint: Optional[RunCheckpoint] = None
-        self.continuations = ContinuationCache(
-            engine.policy.max_continuations)
 
     def adopt(self, machine: "KernelMachine") -> None:
         """Eagerly make ``machine`` the vehicle (boot state captured now)."""
@@ -112,33 +108,21 @@ class SnapshotBackend:
 
     def run(self, request: RunRequest) -> RunOutcome:
         resume = self.resolve_resume(request)
-        session: Optional[SpliceSession] = None
         if resume is not None:
             machine = self.vehicle
-            session = self.continuations.session()
-            controller = ScheduleController(
-                machine, request.schedule, watch_races=request.watch_races,
-                tracer=self._engine.tracer, resume_from=resume,
-                checkpoint_policy=self.checkpoint_policy(request),
-                splice_probe=session.probe)
         else:
             # No resume point yet: boot fresh, and — unless this boot
             # reveals a coverage machine and demotes the backend — adopt
-            # the boot as the vehicle and splice like any other run.
+            # the boot as the vehicle.
             machine = self._engine.machine_factory()
             self._engine.note_coverage(machine)
             if self.active:
-                session = self.continuations.session()
-            controller = ScheduleController(
-                machine, request.schedule, watch_races=request.watch_races,
-                tracer=self._engine.tracer,
-                checkpoint_policy=self.checkpoint_policy(request),
-                splice_probe=session.probe if session else None)
-            if self.active:
                 self.vehicle = machine
+        controller = ScheduleController(
+            machine, request.schedule, watch_races=request.watch_races,
+            tracer=self._engine.tracer, resume_from=resume,
+            checkpoint_policy=self.checkpoint_policy(request))
         run = controller.run()
-        if session is not None:
-            session.donate(run)
         if self.active and self.boot_checkpoint is None:
             # Harvest the run-entry capture as the boot checkpoint that
             # replaces per-schedule reboots from here on.
@@ -150,5 +134,4 @@ class SnapshotBackend:
             run=run, checkpoints=tuple(controller.checkpoints),
             resumed=resume is not None,
             prefix_steps=resume.steps if resume is not None else 0,
-            setup_steps=machine.setup_steps,
-            spliced_steps=controller.spliced_steps, backend=self.name)
+            setup_steps=machine.setup_steps, backend=self.name)

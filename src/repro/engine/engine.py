@@ -11,8 +11,8 @@ level up, across independent diagnoses
 
 Algorithms (LIFS, Causality Analysis) stay pure: they emit
 :class:`RunRequest`/:class:`RunPlan` values and consume
-:class:`RunOutcome`\\ s — no algorithm touches ``ContinuationCache``
-or ``CheckpointPolicy`` directly.
+:class:`RunOutcome`\\ s — no algorithm touches ``CheckpointPolicy``
+directly.
 
 Invariants the engine maintains (and the equivalence tests assert):
 
@@ -47,8 +47,8 @@ class ScheduleExecutionEngine:
     """Execute schedules on behalf of one algorithm instance.
 
     An engine is built per algorithm instance (one for a LIFS search,
-    one for a Causality Analysis) so its stats and continuation memo
-    describe exactly that consumer's work.
+    one for a Causality Analysis) so its stats describe exactly that
+    consumer's work.
     """
 
     def __init__(self, machine_factory: "Callable[[], KernelMachine]",
@@ -139,29 +139,24 @@ class ScheduleExecutionEngine:
     def _account(self, outcome: RunOutcome) -> None:
         """Fold one outcome into the engine stats.
 
-        One formula covers every backend: ``suffix = steps - prefix -
-        spliced`` is what the interpreter actually executed for a
-        resumed run; a fresh boot additionally interprets its setup.
+        One formula covers every backend: ``suffix = steps - prefix`` is
+        what the interpreter actually executed for a resumed run; a fresh
+        boot additionally interprets its setup.
         """
         stats = self.stats
         stats.requests += 1
         stats.backend_requests[outcome.backend] = (
             stats.backend_requests.get(outcome.backend, 0) + 1)
-        suffix = (outcome.run.steps - outcome.prefix_steps
-                  - outcome.spliced_steps)
+        suffix = outcome.run.steps - outcome.prefix_steps
         if outcome.resumed:
             stats.snapshot_hits += 1
             stats.resumed_steps += suffix
-            stats.saved_steps += (outcome.prefix_steps + outcome.setup_steps
-                                  + outcome.spliced_steps)
+            stats.saved_steps += outcome.prefix_steps + outcome.setup_steps
             stats.interpreted_steps += suffix
         else:
             stats.snapshot_misses += 1
             stats.interpreted_steps += (outcome.run.steps
                                         + outcome.setup_steps)
-        if outcome.spliced_steps:
-            stats.splices += 1
-            stats.spliced_steps += outcome.spliced_steps
         stats.checkpoints_captured += len(outcome.checkpoints)
 
     def _trace_plan(self, plan: RunPlan, backend: str) -> None:

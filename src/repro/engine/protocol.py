@@ -10,7 +10,7 @@ that primitive's vocabulary:
 * :class:`RunPlan`     — a batch of independent requests (a LIFS frontier
   round, a CA flip phase) the engine executes as one phase;
 * :class:`RunOutcome`  — the run plus the placement facts accounting
-  needs (resumed? prefix/setup/spliced steps, captured checkpoints);
+  needs (resumed? prefix/setup steps, captured checkpoints);
 * :class:`EnginePolicy` — which backends the engine composes, resolved
   once from an algorithm config, api kwargs and CLI flags;
 * :class:`EngineStats` — the engine-side accounting, published as
@@ -49,7 +49,7 @@ class EnginePolicy:
 
     One policy instance selects the backend composition — snapshots
     on/off (``SnapshotBackend`` vs ``InlineBackend``) — plus checkpoint
-    density, the continuation memo size and the search policy.
+    density and the search policy.
     """
 
     use_snapshots: bool = True
@@ -58,8 +58,6 @@ class EnginePolicy:
     snapshot_interval: int = 8
     #: Per-run cap on captured checkpoints.
     max_checkpoints_per_run: int = 64
-    #: Cap on memoized run continuations (suffix splicing).
-    max_continuations: int = 65536
     #: Which :mod:`repro.policy` search policy shapes candidate plans
     #: (``"static"``, ``"adaptive"``, ...).  Resolved here so precedence
     #: (config > api kwarg > CLI) is decided once; the engine builds the
@@ -90,8 +88,6 @@ class EnginePolicy:
                 _cfg(config, "snapshot_interval"), default=8),
             max_checkpoints_per_run=_pick(
                 _cfg(config, "max_checkpoints_per_run"), default=64),
-            max_continuations=_pick(
-                _cfg(config, "max_continuations"), default=65536),
             search_policy=str(_pick(
                 _cfg(config, "policy"), search_policy, cli_search_policy,
                 default="static")))
@@ -154,8 +150,6 @@ class RunOutcome:
     prefix_steps: int = 0
     #: Boot-setup steps of the machine the run used.
     setup_steps: int = 0
-    #: Steps grafted from a memoized continuation (suffix splicing).
-    spliced_steps: int = 0
     #: Which backend produced the run ("inline", "snapshot").
     backend: str = "inline"
 
@@ -173,16 +167,11 @@ class EngineStats:
     checkpoints_captured: int = 0
     #: Suffix steps actually interpreted by resumed runs.
     resumed_steps: int = 0
-    #: Prefix + boot-setup + spliced steps resumed runs did not
-    #: interpret.
+    #: Prefix + boot-setup steps resumed runs did not interpret.
     saved_steps: int = 0
     #: Steps the interpreter really executed (suffixes, plus setup on
     #: fresh boots).
     interpreted_steps: int = 0
-    #: Runs whose suffix was grafted from a memoized continuation, and
-    #: the steps those grafts covered.
-    splices: int = 0
-    spliced_steps: int = 0
     #: Requests served per backend name.
     backend_requests: Dict[str, int] = field(default_factory=dict)
 
@@ -195,8 +184,6 @@ LIFS_COUNTER_NAMES = {
     "checkpoints_captured": "snapshot.captured",
     "resumed_steps": "snapshot.resumed_steps",
     "saved_steps": "snapshot.saved_steps",
-    "splices": "snapshot.splices",
-    "spliced_steps": "snapshot.spliced_steps",
     "interpreted_steps": "lifs.interpreted_steps",
 }
 
@@ -205,7 +192,5 @@ CA_COUNTER_NAMES = {
     "snapshot_hits": "ca.snapshot_hits",
     "snapshot_misses": "ca.snapshot_misses",
     "saved_steps": "ca.snapshot_saved_steps",
-    "splices": "ca.snapshot_splices",
-    "spliced_steps": "ca.snapshot_spliced_steps",
     "interpreted_steps": "ca.interpreted_steps",
 }

@@ -55,7 +55,6 @@ from repro.hypervisor.trampoline import ParkReason, Trampoline
 from repro.kernel.access import MemoryAccess
 from repro.kernel.failures import Failure
 from repro.kernel.machine import KernelMachine, SpawnEvent, TraceEntry
-from repro.kernel.snapshot import machine_state_key
 from repro.kernel.threads import ThreadState
 from repro.observe.tracer import as_tracer
 
@@ -137,112 +136,6 @@ class RunResult:
         return int.from_bytes(digest, "big")
 
 
-@dataclass(frozen=True)
-class SpliceTail:
-    """An earlier run's already-computed suffix, ready to be grafted onto a
-    run whose controller state has *converged* onto the donor's (see
-    ``splice_probe`` on :class:`ScheduleController`).  All records are the
-    machine's frozen types, so the splice shares them structurally."""
-
-    trace: Tuple[TraceEntry, ...]
-    accesses: Tuple[MemoryAccess, ...]
-    spawn_events: Tuple[SpawnEvent, ...]
-    failure: Optional[Failure]
-    #: Controller steps the donor spent past the splice point.
-    steps: int
-    #: The donor machine's final global seq.
-    final_seq: int
-    thread_names: Tuple[str, ...]
-    thread_kinds: Dict[str, str]
-
-
-class ContinuationCache:
-    """Memo of run continuations shared across a family of runs: suffix
-    splicing, the complement of prefix-checkpoint resume.
-
-    Runs exploring interleavings of the same workload are *reorderings* of
-    each other and funnel through shared machine states once their
-    enforced reorderings resolve.  In LIFS, a preempted thread resumes at
-    the lowest scheduling priority, so every extension of a base ends by
-    draining the preempted thread's remainder while all other threads are
-    done; sibling extensions differ only in how far that thread had
-    progressed when preempted.  In Causality Analysis, a flip that leaves
-    the failure intact or benign converges back onto the unconstrained
-    trajectory after its reordered window.  The first run to interpret
-    such a suffix donates it here; every later run that reaches an
-    *identical* controller state grafts the memoized suffix
-    (:class:`SpliceTail`) instead of re-interpreting it.
-
-    The key is exact — global seq, active thread and the canonical
-    :func:`~repro.kernel.snapshot.machine_state_key` — and splicing is
-    only probed when enforcement is quiescent (no pending preemption,
-    all constraints resolved, nothing parked), where the continuation is
-    a pure function of that key.  Runs that genuinely differ (e.g.
-    reordered allocations shift heap base addresses) never match and
-    simply run on, which is what keeps spliced results bit-identical to
-    fresh interpretation.
-    """
-
-    def __init__(self, max_entries: int) -> None:
-        #: key -> (donor run, donor controller steps there, donor
-        #: trace/access/spawn log lengths there)
-        self.entries: Dict[Tuple, Tuple[RunResult, int, int, int, int]] = {}
-        self.max_entries = max_entries
-
-    def session(self) -> "SpliceSession":
-        return SpliceSession(self)
-
-
-class SpliceSession:
-    """One run's view of a :class:`ContinuationCache`.
-
-    ``probe`` is handed to the :class:`ScheduleController`: at each
-    quiescent step it computes the state key once, using it both to look
-    up a memoized suffix *and* to remember this run's own quiescent
-    points.  After the run completes, :meth:`donate` publishes those
-    points so later runs can splice from them.  Each point records the
-    lengths of the machine's three run logs there, so a later hit slices
-    the donor's logs at those offsets instead of searching them by seq."""
-
-    def __init__(self, cache: ContinuationCache) -> None:
-        self._cache = cache
-        #: (key, controller steps, trace/access/spawn log lengths) at each
-        #: quiescent point of this run.
-        self._seen: List[Tuple[Tuple, int, int, int, int]] = []
-
-    def probe(self, machine: KernelMachine,
-              controller: "ScheduleController") -> Optional[SpliceTail]:
-        key = (machine._seq, controller._active, machine_state_key(machine))
-        hit = self._cache.entries.get(key)
-        if hit is not None:
-            donor, donor_steps, n_trace, n_accesses, n_spawns = hit
-            return SpliceTail(
-                trace=tuple(donor.trace[n_trace:]),
-                accesses=tuple(donor.accesses[n_accesses:]),
-                spawn_events=tuple(donor.spawn_events[n_spawns:]),
-                failure=donor.failure,
-                steps=donor.steps - donor_steps,
-                final_seq=donor.trace[-1].seq,
-                thread_names=tuple(donor.thread_names),
-                thread_kinds=dict(donor.thread_kinds),
-            )
-        self._seen.append((key, controller._steps, len(machine.trace),
-                           len(machine.access_log),
-                           len(machine.spawn_events)))
-        return None
-
-    def donate(self, run: RunResult) -> None:
-        entries = self._cache.entries
-        limit = self._cache.max_entries
-        for key, steps, n_trace, n_accesses, n_spawns in self._seen:
-            if len(entries) >= limit:
-                break
-            if run.steps <= steps:
-                continue  # quiescent point was the final state: no suffix
-            entries.setdefault(key, (run, steps, n_trace, n_accesses,
-                                     n_spawns))
-
-
 class ScheduleController:
     """Runs one machine under one schedule.
 
@@ -267,8 +160,7 @@ class ScheduleController:
     def __init__(self, machine: KernelMachine, schedule: Schedule,
                  watch_races: bool = True, tracer=None,
                  resume_from: Optional[RunCheckpoint] = None,
-                 checkpoint_policy: Optional[CheckpointPolicy] = None,
-                 splice_probe=None) -> None:
+                 checkpoint_policy: Optional[CheckpointPolicy] = None) -> None:
         self.machine = machine
         self.schedule = schedule
         self.watch_races = watch_races
@@ -288,15 +180,6 @@ class ScheduleController:
         self._steps_since_capture = 0
         self.checkpoints: List[RunCheckpoint] = []
         self._resumed_from = resume_from
-        #: callable(machine, controller) -> Optional[SpliceTail]; consulted
-        #: once enforcement is quiescent (no pending preemption, nothing
-        #: parked).  A returned tail ends the run with a donor run's suffix
-        #: grafted on instead of re-interpreting it.
-        self._splice_probe = splice_probe
-        #: Steps covered by a splice instead of interpretation.
-        self.spliced_steps = 0
-        self._splice_names: Optional[Tuple[Tuple[str, ...], Dict[str, str]]] \
-            = None
         #: Cached _thread_order result, keyed on the thread count (the
         #: roster only grows during a run, and only by spawns at the end).
         self._order_cache: Optional[Tuple[int, List[str]]] = None
@@ -486,7 +369,6 @@ class ScheduleController:
         # Periodic captures only where the policy asks for them; interval
         # 0 skips the per-step bookkeeping altogether.
         interval = self._policy.interval if self._policy is not None else 0
-        probe = self._splice_probe
         ready = ThreadState.READY
         while machine.failure is None:
             # Fast path: the active thread keeps running while it is READY
@@ -545,13 +427,6 @@ class ScheduleController:
                 self._steps_since_capture += 1
                 if self._steps_since_capture >= interval:
                     self._maybe_capture()
-            if probe is not None and machine.failure is None \
-                    and not self._pending_preemptions \
-                    and self._head >= n_constraints and not parked:
-                tail = probe(machine, self)
-                if tail is not None:
-                    self._apply_splice(tail)
-                    break
 
         # Constraints whose instructions never executed (their thread
         # finished early or the run crashed) disappeared.
@@ -560,30 +435,6 @@ class ScheduleController:
 
         machine.finish()
         return self._result()
-
-    def _apply_splice(self, tail: SpliceTail) -> None:
-        """Graft a converged base run's suffix onto this run.
-
-        The machine's logs, seq counter and failure flag take the base's
-        final values; the tail's accesses are replayed through this run's
-        *own* watchpoints (the armed set differs from the base's, and hits
-        are observation-only, so replaying the access stream records
-        exactly the hits interpretation would have).  The machine's live
-        thread/memory state is left at the splice point — the caller
-        restores a checkpoint before the next run anyway."""
-        machine = self.machine
-        machine.trace.extend(tail.trace)
-        machine.access_log.extend(tail.accesses)
-        machine.spawn_events.extend(tail.spawn_events)
-        machine._seq = tail.final_seq
-        machine.failure = tail.failure
-        for access in tail.accesses:
-            self.watchpoints.observe(access)
-        self._steps += tail.steps
-        self.spliced_steps = tail.steps
-        self._splice_names = (tail.thread_names, tail.thread_kinds)
-        if self.tracer.enabled:
-            self.tracer.count("hv.splices")
 
     def _match_preemption(self, thread: str, instr_addr: int,
                           occurrence: int) -> Optional[Preemption]:
@@ -677,13 +528,8 @@ class ScheduleController:
             steps=self._steps,
             interleavings=len(self._fired),
             resumed_interleavings=self._measured_interleavings(),
-            # A spliced run's machine never materializes threads spawned in
-            # the grafted tail; the base's final roster is authoritative.
-            thread_names=(list(self._splice_names[0]) if self._splice_names
-                          else [t.name for t in self.machine.threads]),
-            thread_kinds=(dict(self._splice_names[1]) if self._splice_names
-                          else {t.name: t.kind.value
-                                for t in self.machine.threads}),
+            thread_names=[t.name for t in self.machine.threads],
+            thread_kinds={t.name: t.kind.value for t in self.machine.threads},
         )
 
 

@@ -91,10 +91,6 @@ class Trampoline:
     def parked_threads(self) -> List[str]:
         return list(self.parked)
 
-    @property
-    def parked_count(self) -> int:
-        return len(self.parked)
-
     def clear(self) -> None:
         self._stack.clear()
         self.parked.clear()

@@ -49,7 +49,11 @@ class Failure:
         return f"{self.kind.name}@{self.instr_label}"
 
     def __str__(self) -> str:
-        where = f" in {self.thread} at {self.instr_label}" if self.instr_label else ""
+        # An end-of-run leak has a label but no thread; a deadlock whose
+        # blocked thread has no pending instruction has a thread but no
+        # label.  Either still renders its location.
+        where = (f" in {self.thread} at {self.instr_label}"
+                 if self.thread or self.instr_label else "")
         msg = f": {self.message}" if self.message else ""
         return f"{self.kind.value}{where}{msg}"
 

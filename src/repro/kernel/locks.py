@@ -23,16 +23,13 @@ class LockInfo:
 class LockTable:
     """All named locks of one machine instance.
 
-    Mutations bump a generation counter; the canonical state key and the
-    checkpoint snapshot are cached against it, so convergence probes on
-    lock-quiet stretches never rebuild them.
+    Mutations bump a generation counter; the checkpoint snapshot is cached
+    against it, so captures on lock-quiet stretches never rebuild it.
     """
 
     def __init__(self) -> None:
         self._locks: Dict[str, LockInfo] = {}
         self.gen = 0
-        self._key: tuple = ()
-        self._key_gen = -1
         self._snap: dict = {}
         self._snap_gen = -1
 
@@ -87,15 +84,6 @@ class LockTable:
             }
             self._snap_gen = self.gen
         return self._snap
-
-    def state_key(self) -> tuple:
-        if self._key_gen != self.gen:
-            self._key = tuple(
-                (name, info.owner, tuple(info.waiters))
-                for name, info in sorted(self._locks.items())
-                if info.owner is not None or info.waiters)
-            self._key_gen = self.gen
-        return self._key
 
     def restore(self, snap: dict) -> None:
         self._locks = {

@@ -7,7 +7,7 @@ out-of-bounds accesses are always detectable — the same property KASAN's
 redzones and quarantine give the instrumented kernels used in the paper's
 evaluation.
 
-Three properties make the hot path cheap:
+Two properties make the hot path cheap:
 
 * the allocator is monotonic, so object bases form a sorted sequence and
   ``object_at`` is a single :func:`bisect.bisect_right` probe instead of a
@@ -15,10 +15,7 @@ Three properties make the hot path cheap:
 * every mutation is journalled in an undo log, so :meth:`Memory.snapshot`
   emits a :class:`MemoryImage` — a structurally shared generation holding
   only the cells dirtied since the previous capture — and
-  :meth:`Memory.restore` replays undo deltas instead of copying dicts;
-* generation counters stamp the cells / objects / globals components, so
-  the canonical state key (used by continuation-cache convergence checks)
-  is re-sorted only for the components that actually changed.
+  :meth:`Memory.restore` replays undo deltas instead of copying dicts.
 """
 
 from __future__ import annotations
@@ -72,25 +69,6 @@ class HeapObject:
         return self.base + self.size <= addr < self.base + self.size + REDZONE
 
 
-def _canon_cells(cells: Dict[int, Any]) -> Tuple:
-    # Heap cells holding 0 are canonically identical to absent slots (loads
-    # of either read 0), so they are dropped from the key; otherwise a pure
-    # load that materialized a slot would split semantically equal states.
-    return tuple(sorted(
-        (a, v) for a, v in cells.items() if a < HEAP_BASE or v != 0))
-
-
-def _canon_globals(globals_map: Dict[str, int]) -> Tuple:
-    return tuple(sorted(globals_map.items()))
-
-
-def _canon_objects(objects: Dict[int, HeapObject]) -> Tuple:
-    return tuple(
-        (base, o.size, o.tag, o.state.value, o.leak_tracked,
-         o.alloc_site, o.free_site)
-        for base, o in sorted(objects.items()))
-
-
 def _image_from_flat(cells, objects, globals_map, next_global, next_heap):
     """Pickle reconstructor: a wire'd image always rebuilds as a flat root."""
     return MemoryImage(None, cells, objects, globals_map, {}, {},
@@ -106,14 +84,11 @@ class MemoryImage:
     leaf.  Restoring the live :class:`Memory` to an image replays undo
     entries back to the common ancestor and overlays forward — O(dirty), not
     O(machine).
-
-    The legacy mapping interface (``image["cells"]`` …) is kept for
-    compatibility with consumers of the old full-copy snapshot dicts.
     """
 
     __slots__ = ("parent", "cells", "objects", "globals_added",
                  "cells_undo", "objects_undo", "next_global", "next_heap",
-                 "depth", "_mat", "_key_parts")
+                 "depth", "_mat")
 
     def __init__(self, parent: Optional["MemoryImage"],
                  cells: Dict[int, Any], objects: Dict[int, HeapObject],
@@ -131,7 +106,6 @@ class MemoryImage:
         self.next_heap = next_heap
         self.depth = 0 if parent is None else parent.depth + 1
         self._mat: Optional[Tuple[dict, dict, dict]] = None
-        self._key_parts: Optional[Tuple] = None
 
     # -- full-state materialization (cold paths only) -------------------
     def _materialized(self) -> Tuple[dict, dict, dict]:
@@ -152,29 +126,6 @@ class MemoryImage:
                     globs.update(img.globals_added)
             self._mat = (cells, objects, globs)
         return self._mat
-
-    def state_key_parts(self) -> Tuple:
-        if self._key_parts is None:
-            cells, objects, globs = self._materialized()
-            self._key_parts = (_canon_cells(cells), _canon_globals(globs),
-                               _canon_objects(objects),
-                               self.next_global, self.next_heap)
-        return self._key_parts
-
-    # -- legacy snapshot-dict compatibility ------------------------------
-    def __getitem__(self, key: str):
-        if key == "next_global":
-            return self.next_global
-        if key == "next_heap":
-            return self.next_heap
-        cells, objects, globs = self._materialized()
-        if key == "cells":
-            return cells
-        if key == "objects":
-            return objects
-        if key == "globals":
-            return globs
-        raise KeyError(key)
 
     def __reduce__(self):
         # Wire format: a self-contained flat state.  Keeps payloads
@@ -206,16 +157,6 @@ class Memory:
         self._cells_undo: Dict[int, Any] = {}
         self._objects_undo: Dict[int, Any] = {}
         self._globals_undo: Set[str] = set()
-        # Generation counters + per-component canonical-key caches.
-        self._cells_gen = 0
-        self._objects_gen = 0
-        self._globals_gen = 0
-        self._ck: Tuple = ()
-        self._ck_gen = -1
-        self._gk: Tuple = ()
-        self._gk_gen = -1
-        self._ok: Tuple = ()
-        self._ok_gen = -1
         for name, value in (globals_init or {}).items():
             self.define_global(name, value)
 
@@ -233,7 +174,6 @@ class Memory:
             self._globals[name] = addr
             self._global_names[addr] = name
             self._globals_undo.add(name)
-            self._globals_gen += 1
         self._write(addr, value)
         return addr
 
@@ -386,7 +326,8 @@ class Memory:
         if self._check(addr, writing=False):
             return self._cells[addr]
         # Absent in-object slot: reads are non-mutating — materializing the
-        # slot here would make a pure load change the canonical state.
+        # slot here would make a pure load dirty the undo journal, and the
+        # next capture would copy a cell that no store wrote.
         return 0
 
     def store(self, addr: int, value: Any) -> None:
@@ -399,40 +340,11 @@ class Memory:
         if addr not in self._cells_undo:
             self._cells_undo[addr] = cells.get(addr, _ABSENT)
         cells[addr] = value
-        self._cells_gen += 1
 
     def _set_object(self, base: int, obj: HeapObject) -> None:
         if base not in self._objects_undo:
             self._objects_undo[base] = self._objects.get(base, _ABSENT)
         self._objects[base] = obj
-        self._objects_gen += 1
-
-    # ------------------------------------------------------------------
-    # Canonical state key (consumed by repro.kernel.snapshot)
-    # ------------------------------------------------------------------
-    def state_key_parts(self) -> Tuple:
-        """The memory components of the canonical machine-state key, cached
-        per generation counter so unchanged components are never re-sorted."""
-        if self._parent is not None and not (
-                self._cells_undo or self._objects_undo or self._globals_undo):
-            # Clean at a capture point: share (and memoize) the image's key.
-            if self._parent._key_parts is None:
-                self._parent._key_parts = self._live_key_parts()
-            return self._parent._key_parts
-        return self._live_key_parts()
-
-    def _live_key_parts(self) -> Tuple:
-        if self._ck_gen != self._cells_gen:
-            self._ck = _canon_cells(self._cells)
-            self._ck_gen = self._cells_gen
-        if self._gk_gen != self._globals_gen:
-            self._gk = _canon_globals(self._globals)
-            self._gk_gen = self._globals_gen
-        if self._ok_gen != self._objects_gen:
-            self._ok = _canon_objects(self._objects)
-            self._ok_gen = self._objects_gen
-        return (self._ck, self._gk, self._ok,
-                self._next_global, self._next_heap)
 
     # ------------------------------------------------------------------
     # Snapshot / restore (used by the hypervisor between runs)
@@ -467,19 +379,13 @@ class Memory:
         self._globals_undo = set()
         return image
 
-    def restore(self, snap) -> None:
+    def restore(self, image: MemoryImage) -> None:
         """Rewind (or fast-forward) to a previously captured state.
 
         Same-lineage restores replay undo/overlay deltas through the common
         ancestor — O(changes between here and there).  Cross-lineage images
         (e.g. unpickled from the wire) fall back to installing the
         materialized state."""
-        if isinstance(snap, dict):  # legacy full-copy snapshot dict
-            self._install(dict(snap["cells"]), dict(snap["objects"]),
-                          dict(snap["globals"]),
-                          snap["next_global"], snap["next_heap"], None)
-            return
-        image: MemoryImage = snap
         if image is self._parent:
             if self._cells_undo or self._objects_undo or self._globals_undo:
                 self._apply_undo(self._cells_undo, self._objects_undo,
@@ -498,8 +404,11 @@ class Memory:
             node = node.parent
         if node is None:
             cells, objects, globs = image._materialized()
-            self._install(dict(cells), dict(objects), dict(globs),
-                          image.next_global, image.next_heap, image)
+            self._cells = dict(cells)
+            self._objects = dict(objects)
+            self._globals = dict(globs)
+            self._global_names = {addr: name for name, addr in globs.items()}
+            self._finish_restore(image)
             return
         common = node
         # Roll the live dirt back, then unwind images down to the ancestor.
@@ -537,22 +446,10 @@ class Memory:
             if addr is not None:
                 self._global_names.pop(addr, None)
 
-    def _install(self, cells, objects, globals_map, next_global, next_heap,
-                 parent) -> None:
-        self._cells = cells
-        self._objects = objects
-        self._globals = globals_map
-        self._global_names = {addr: name
-                              for name, addr in globals_map.items()}
-        self._next_global = next_global
-        self._next_heap = next_heap
-        self._finish_restore(parent)
-
-    def _finish_restore(self, parent: Optional[MemoryImage]) -> None:
-        if parent is not None:
-            self._next_global = parent.next_global
-            self._next_heap = parent.next_heap
-        self._parent = parent
+    def _finish_restore(self, image: MemoryImage) -> None:
+        self._next_global = image.next_global
+        self._next_heap = image.next_heap
+        self._parent = image
         self._cells_undo = {}
         self._objects_undo = {}
         self._globals_undo = set()
@@ -560,6 +457,3 @@ class Memory:
         self._freed_count = sum(
             1 for o in self._objects.values()
             if o.state is ObjectState.FREED)
-        self._cells_gen += 1
-        self._objects_gen += 1
-        self._globals_gen += 1

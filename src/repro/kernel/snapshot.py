@@ -21,17 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from operator import attrgetter
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
-from repro.kernel.memory import (MemoryImage, _canon_cells, _canon_globals,
-                                 _canon_objects)
+from repro.kernel.memory import MemoryImage
 from repro.kernel.threads import ThreadContext, ThreadImage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.machine import KernelMachine
-
-_by_tid = attrgetter("tid")
 
 
 class LogSlice(Sequence):
@@ -86,9 +82,9 @@ class LogSlice(Sequence):
 class MachineSnapshot:
     """Captured state of one machine.
 
-    ``memory`` is a :class:`~repro.kernel.memory.MemoryImage` (legacy
-    full-copy dicts are still restorable); the log fields are
-    :class:`LogSlice` prefixes (tuples after a pickle round trip).
+    ``memory`` is a :class:`~repro.kernel.memory.MemoryImage`; the log
+    fields are :class:`LogSlice` prefixes (tuples after a pickle round
+    trip).
     """
 
     memory: MemoryImage
@@ -121,73 +117,6 @@ def snapshot_machine(machine: "KernelMachine") -> MachineSnapshot:
         access_log=LogSlice(machine.access_log),
         spawn_events=LogSlice(machine.spawn_events),
     )
-
-
-def _thread_state_key(image: ThreadImage) -> Tuple:
-    state = image.state
-    return (
-        image.tid, image.name, image.kind.value, image.entry,
-        state["state"].value,
-        tuple(sorted(state["regs"].items())),
-        tuple((fr.func, fr.pc) for fr in state["frames"]),
-        tuple(state["locks_held"]),
-        state["blocked_on"],
-        tuple(sorted(state["exec_counts"].items())),
-        # ``steps`` is deliberately excluded: it counts blocked re-attempts,
-        # which two semantically identical prefixes may differ in, and it
-        # feeds nothing but the runaway-thread limit.
-    )
-
-
-def _memory_key_parts(memory) -> Tuple:
-    if isinstance(memory, MemoryImage):
-        return memory.state_key_parts()
-    return (
-        _canon_cells(memory["cells"]),
-        _canon_globals(memory["globals"]),
-        _canon_objects(memory["objects"]),
-        memory["next_global"],
-        memory["next_heap"],
-    )
-
-
-def _locks_key(locks: dict) -> Tuple:
-    return tuple((name, owner, tuple(waiters))
-                 for name, (owner, waiters) in sorted(locks.items()))
-
-
-def _state_key(memory, locks: dict,
-               threads: Tuple[ThreadImage, ...]) -> Tuple:
-    return _memory_key_parts(memory) + (
-        _locks_key(locks),
-        tuple(_thread_state_key(t) for t in sorted(threads, key=_by_tid)),
-    )
-
-
-def machine_state_key(machine: "KernelMachine") -> Tuple:
-    """Canonical, hashable capture of a machine's *semantic* state.
-
-    Two machines in the same lineage with equal keys behave identically
-    from here on: memory contents, heap object metadata, lock ownership
-    and wait queues, and every thread's control state are all included.
-    The hypervisor uses key equality to detect that a reordered run has
-    *converged* back onto its base run's state, at which point the base's
-    already-computed suffix can be spliced instead of re-interpreted.
-
-    Assembled from generation-cached component keys: a convergence probe
-    after a step that touched one thread and a handful of cells only
-    re-canonicalizes those components."""
-    return machine.memory.state_key_parts() + (
-        machine.locks.state_key(),
-        tuple(t.state_key()
-              for t in sorted(machine.threads, key=_by_tid)),
-    )
-
-
-def snapshot_state_key(snapshot: MachineSnapshot) -> Tuple:
-    """:func:`machine_state_key` computed from a captured snapshot; a live
-    machine and a snapshot of an equal state produce equal keys."""
-    return _state_key(snapshot.memory, snapshot.locks, snapshot.threads)
 
 
 def restore_machine(machine: "KernelMachine",

@@ -63,14 +63,12 @@ class ThreadContext:
     exec_counts: Dict[int, int] = field(default_factory=dict)
     steps: int = 0
     #: Mutation generation: bumped once per executed step (and on wake /
-    #: restore).  Captures and canonical keys are cached against it, so an
-    #: unchanged thread is never re-copied or re-sorted.
+    #: restore).  Captures are cached against it, so an unchanged thread
+    #: is never re-copied.
     gen: int = 0
     _cap: Optional["ThreadImage"] = field(default=None, repr=False,
                                           compare=False)
     _cap_gen: int = field(default=-1, repr=False, compare=False)
-    _key: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _key_gen: int = field(default=-1, repr=False, compare=False)
 
     @property
     def done(self) -> bool:
@@ -121,20 +119,6 @@ class ThreadContext:
                 spawn_instr=self.spawn_instr, state=self.snapshot())
             self._cap_gen = self.gen
         return self._cap
-
-    def state_key(self) -> tuple:
-        """Canonical per-thread component of the machine-state key, cached
-        against :attr:`gen`."""
-        if self._key is None or self._key_gen != self.gen:
-            self._key = (
-                self.tid, self.name, self.kind.value, self.entry,
-                self.state.value,
-                tuple(sorted(self.regs.items())),
-                tuple((fr.func, fr.pc) for fr in self.frames),
-                tuple(self.locks_held), self.blocked_on,
-                tuple(sorted(self.exec_counts.items())))
-            self._key_gen = self.gen
-        return self._key
 
     @classmethod
     def from_image(cls, image: "ThreadImage") -> "ThreadContext":

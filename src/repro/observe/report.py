@@ -157,10 +157,7 @@ def render_trace_report(
                   f"  steps: {counters.get('lifs.interpreted_steps', 0)} "
                   f"interpreted, {counters.get('snapshot.saved_steps', 0)} "
                   f"saved ({counters.get('snapshot.resumed_steps', 0)} "
-                  f"resumed suffix)",
-                  f"  splices: {counters.get('snapshot.splices', 0)} runs "
-                  f"grafted a memoized suffix "
-                  f"({counters.get('snapshot.spliced_steps', 0)} steps)"]
+                  f"resumed suffix)"]
 
     if counters.get("policy.ranked") or counters.get("policy.pruned"):
         lines += ["", "search policy: "
@@ -182,9 +179,7 @@ def render_trace_report(
                       f"{counters.get('ca.snapshot_misses', 0)} fresh boots; "
                       f"{counters.get('ca.interpreted_steps', 0)} steps "
                       f"interpreted, "
-                      f"{counters.get('ca.snapshot_saved_steps', 0)} saved, "
-                      f"{counters.get('ca.snapshot_spliced_steps', 0)} "
-                      f"spliced"]
+                      f"{counters.get('ca.snapshot_saved_steps', 0)} saved"]
 
     if summary["counters"]:
         width = max(len(name) for name in summary["counters"])

@@ -27,8 +27,9 @@ class CrashParseError(ValueError):
     """Malformed crash-report text."""
 
 
-#: ``" in THREAD at LABEL"`` location suffix of a failure line.
-_LOCATION = re.compile(r"^ in (?P<thread>\S+) at (?P<label>[^:\s]+)")
+#: ``" in THREAD at LABEL"`` location suffix of a failure line; either
+#: part may be empty (see ``Failure.__str__``).
+_LOCATION = re.compile(r"^ in (?P<thread>\S*) at (?P<label>[^:\s]*)")
 
 
 def render_crash_report(report: CrashReport) -> str:

@@ -1,10 +1,14 @@
-"""Shared test fixtures: small kernel models used across the suite."""
+"""Shared test fixtures: small kernel models used across the suite, and
+the canonical-state oracle that restore-equals-fresh properties compare
+machines with."""
 
 from __future__ import annotations
 
 from repro.kernel.builder import ProgramBuilder
 from repro.kernel.machine import KernelMachine, ThreadSpec
+from repro.kernel.memory import HEAP_BASE, Memory
 from repro.kernel.program import KernelImage
+from repro.kernel.snapshot import MachineSnapshot
 
 
 def fig2_image() -> KernelImage:
@@ -82,3 +86,67 @@ def run_until(machine: KernelMachine, name: str, stop_label: str) -> None:
         if instr is None or machine.halted or instr.name == stop_label:
             return
         machine.step(name)
+
+
+# ----------------------------------------------------------------------
+# Canonical-state oracle
+# ----------------------------------------------------------------------
+def _canonical_memory(cells, objects, globals_map, next_global,
+                      next_heap) -> tuple:
+    # A heap cell holding 0 reads exactly like a never-written slot, so
+    # it is dropped: a store of 0 and a pure load leave one state.
+    return (
+        tuple(sorted((addr, value) for addr, value in cells.items()
+                     if addr < HEAP_BASE or value != 0)),
+        tuple(sorted(globals_map.items())),
+        tuple((base, obj.size, obj.tag, obj.state.value, obj.leak_tracked,
+               obj.alloc_site, obj.free_site)
+              for base, obj in sorted(objects.items())),
+        next_global, next_heap)
+
+
+def _canonical_locks(held) -> tuple:
+    """``held`` maps each lock name to its ``(owner, waiters)``."""
+    return tuple(sorted((name, owner, tuple(waiters))
+                        for name, (owner, waiters) in held.items()
+                        if owner is not None or waiters))
+
+
+def _canonical_thread(ident, state) -> tuple:
+    # ``steps`` is left out: it counts blocked re-attempts, which two
+    # equal prefixes may differ in, and feeds only the runaway limit.
+    return (ident.tid, ident.name, ident.kind.value, ident.entry,
+            state["state"].value,
+            tuple(sorted(state["regs"].items())),
+            tuple((frame.func, frame.pc) for frame in state["frames"]),
+            tuple(state["locks_held"]), state["blocked_on"],
+            tuple(sorted(state["exec_counts"].items())))
+
+
+def memory_state(memory: Memory) -> tuple:
+    """Canonical state of a live :class:`Memory`: cells (zero heap cells
+    dropped), globals, heap-object metadata and both allocation cursors."""
+    return _canonical_memory(memory._cells, memory._objects, memory._globals,
+                             memory._next_global, memory._next_heap)
+
+
+def machine_state(machine: KernelMachine) -> tuple:
+    """Canonical state of a live machine, recomputed on every call: its
+    memory, lock owners and waiters, and each thread's control state.
+    Two machines with equal states behave identically from here on."""
+    locks = {name: (info.owner, info.waiters)
+             for name, info in machine.locks._locks.items()}
+    return memory_state(machine.memory) + (
+        _canonical_locks(locks),
+        tuple(sorted(_canonical_thread(t, vars(t)) for t in machine.threads)))
+
+
+def snapshot_state(snapshot: MachineSnapshot) -> tuple:
+    """:func:`machine_state` of the machine ``snapshot`` captured."""
+    image = snapshot.memory
+    cells, objects, globals_map = image._materialized()
+    return _canonical_memory(cells, objects, globals_map, image.next_global,
+                             image.next_heap) + (
+        _canonical_locks(snapshot.locks),
+        tuple(sorted(_canonical_thread(t, t.state)
+                     for t in snapshot.threads)))

@@ -99,20 +99,16 @@ class TestTraceReport:
                 "lifs.schedules": 6, "lifs.interpreted_steps": 150,
                 "snapshot.hits": 5, "snapshot.misses": 1,
                 "snapshot.captured": 12, "snapshot.saved_steps": 400,
-                "snapshot.resumed_steps": 90, "snapshot.splices": 3,
-                "snapshot.spliced_steps": 120,
+                "snapshot.resumed_steps": 90,
                 "ca.snapshot_hits": 4, "ca.snapshot_misses": 0,
-                "ca.interpreted_steps": 80, "ca.snapshot_saved_steps": 300,
-                "ca.snapshot_spliced_steps": 20}),
+                "ca.interpreted_steps": 80, "ca.snapshot_saved_steps": 300}),
         ]
         out = render_trace_report(events)
         assert ("LIFS snapshot engine: 5 resumed / 1 fresh boots, "
                 "12 checkpoints captured") in out
         assert "steps: 150 interpreted, 400 saved (90 resumed suffix)" in out
-        assert ("splices: 3 runs grafted a memoized suffix "
-                "(120 steps)") in out
         assert ("CA snapshot engine: 4 resumed / 0 fresh boots; "
-                "80 steps interpreted, 300 saved, 20 spliced") in out
+                "80 steps interpreted, 300 saved") in out
 
     def test_report_without_snapshot_counters_omits_engine(self):
         from repro.observe.events import COUNTERS, TraceEvent

@@ -142,9 +142,10 @@ _MESSAGE = st.text(
 @st.composite
 def _failures(draw):
     kind = draw(st.sampled_from(list(FailureKind)))
-    located = draw(st.booleans())
-    thread = draw(_NAME) if located else ""
-    label = draw(_LABEL) if located else ""
+    # Thread and label are drawn independently: an end-of-run leak has a
+    # label and no thread, a deadlock may have a thread and no label.
+    thread = draw(st.one_of(st.just(""), _NAME))
+    label = draw(st.one_of(st.just(""), _LABEL))
     return Failure(kind=kind, thread=thread, instr_label=label,
                    message=draw(_MESSAGE))
 
@@ -170,5 +171,7 @@ class TestRenderParseProperty:
         parsed = parse_crash_report(text)
         assert render_crash_report(parsed) == text
         assert parsed.symptom is failure.kind
+        assert parsed.failure.thread == failure.thread
         assert parsed.location == failure.instr_label
+        assert parsed.failure.message == failure.message
         assert parsed.kernel_log == log

@@ -149,12 +149,10 @@ class TestEnginePolicyResolution:
         assert policy.search_policy == "adaptive"
 
     def test_config_carries_tuning_knobs(self):
-        config = LifsConfig(snapshot_interval=4, max_checkpoints_per_run=16,
-                            max_continuations=128)
+        config = LifsConfig(snapshot_interval=4, max_checkpoints_per_run=16)
         policy = EnginePolicy.for_lifs(config)
         assert policy.snapshot_interval == 4
         assert policy.max_checkpoints_per_run == 16
-        assert policy.max_continuations == 128
 
     def test_ca_config_resolves_too(self):
         policy = EnginePolicy.for_ca(CaConfig(use_snapshots=False,
@@ -171,8 +169,8 @@ class TestAlgorithmPurity:
 
     #: Dispatch internals no algorithm/orchestrator module may name.
     FORBIDDEN = ("InProcessPool", "WorkerFleet", "JobExecutor",
-                 "ContinuationCache", "CheckpointPolicy",
-                 "repro.service.pool", "repro.engine.fleet")
+                 "CheckpointPolicy", "repro.service.pool",
+                 "repro.engine.fleet")
 
     @pytest.mark.parametrize("module", ["lifs.py", "causality.py"])
     def test_algorithms_reference_no_execution_machinery(self, module):

@@ -7,7 +7,7 @@ path:
   free the object whose redzone it is — or, worse, a neighbour.
 * ``Memory`` reads must not mutate cells: loading an uninitialized
   in-bounds slot returns 0 without materializing it, so pure loads
-  never change ``machine_state_key``.
+  never change the machine's canonical state.
 
 And the trap-gated schedule-enforcement run loop: the record contracts
 of the allocation-light trace/access/spawn records, the pinned
@@ -28,11 +28,10 @@ from repro.core.schedule import OrderConstraint, Preemption, Schedule
 from repro.corpus.registry import get_bug
 from repro.hypervisor.controller import (
     MAX_RUN_STEPS,
-    ContinuationCache,
     ScheduleController,
     serial_schedule,
 )
-from repro.hypervisor.snapshot import CheckpointPolicy, boot_checkpoint
+from repro.hypervisor.snapshot import CheckpointPolicy
 from repro.kernel.access import AccessKind, MemoryAccess
 from repro.kernel.builder import ProgramBuilder
 from repro.kernel.failures import FailureKind, KernelFault
@@ -43,13 +42,11 @@ from repro.kernel.machine import (
     TraceEntry,
 )
 from repro.kernel.memory import Memory, ObjectState
-from repro.kernel.snapshot import (
-    machine_state_key,
-    snapshot_machine,
-    snapshot_state_key,
-)
+from repro.kernel.snapshot import snapshot_machine
 from repro.kernel.threads import ThreadKind
 from repro.observe import Tracer
+
+from helpers import machine_state, memory_state, snapshot_state
 
 
 class TestRedzoneFree:
@@ -94,32 +91,34 @@ class TestRedzoneFree:
 
 
 class TestNonMutatingReads:
-    """S3: pure loads leave memory — and its canonical key — untouched."""
+    """S3: pure loads leave memory — and its canonical state — untouched."""
 
     def test_load_of_uninitialized_slot_does_not_materialize_cell(self):
         mem = Memory()
         addr = mem.alloc(32, "obj")
-        before = mem.state_key_parts()
+        before = memory_state(mem)
         assert mem.load(addr + 8) == 0
         assert mem.load(addr + 24) == 0
         assert addr + 8 not in mem._cells
-        assert mem.state_key_parts() == before
+        assert memory_state(mem) == before
 
     def test_stored_zero_is_canonically_absent(self):
-        # A slot written with 0 and a never-written slot are the same
-        # state: the canonical key must not distinguish them, or reads
-        # vs writes-of-zero would break state-key convergence.
+        # A slot written with 0 and a never-written slot read the same,
+        # so they are one state: the canonical state must not tell them
+        # apart, or the read-vs-no-read comparisons below would split on
+        # a difference no load can observe.
         a = Memory()
         b = Memory()
         addr_a = a.alloc(32, "obj")
         addr_b = b.alloc(32, "obj")
         assert addr_a == addr_b
         b.store(addr_b + 8, 0)
-        assert a.state_key_parts() == b.state_key_parts()
+        assert a.load(addr_a + 8) == b.load(addr_b + 8) == 0
+        assert memory_state(a) == memory_state(b)
 
     def test_read_vs_no_read_machines_converge(self):
         """Two runs that differ only in pure loads of uninitialized
-        slots reach the same memory state key."""
+        slots reach the same canonical memory state."""
         def build(with_reads):
             b = ProgramBuilder()
             with b.function("main") as f:
@@ -137,7 +136,7 @@ class TestNonMutatingReads:
             while not m.thread("T").done and not m.halted:
                 m.step("T")
             assert m.failure is None
-            keys.append(m.memory.state_key_parts())
+            keys.append(memory_state(m.memory))
         assert keys[0] == keys[1]
 
     def test_live_and_snapshot_keys_agree_after_reads(self):
@@ -149,8 +148,7 @@ class TestNonMutatingReads:
         m = KernelMachine(b.build(), [ThreadSpec("T", "main")])
         while not m.thread("T").done and not m.halted:
             m.step("T")
-        assert snapshot_state_key(snapshot_machine(m)) == \
-            machine_state_key(m)
+        assert snapshot_state(snapshot_machine(m)) == machine_state(m)
 
 
 # ----------------------------------------------------------------------
@@ -358,14 +356,6 @@ class ReferenceController(ScheduleController):
             if self._policy is not None and self._policy.interval and \
                     self._steps_since_capture >= self._policy.interval:
                 self._maybe_capture()
-            if self._splice_probe is not None and not machine.halted \
-                    and not self._pending_preemptions \
-                    and self._head >= len(self._constraints) \
-                    and self.trampoline.parked_count == 0:
-                tail = self._splice_probe(machine, self)
-                if tail is not None:
-                    self._apply_splice(tail)
-                    break
         while self._head < len(self._constraints):
             self._drop_head(disappeared=True)
         machine.finish()
@@ -394,7 +384,7 @@ def _subject(bug_id):
 
 def _facts(controller, run):
     """Everything observable about one run, including what the
-    controller captured and spliced along the way."""
+    controller captured along the way."""
     return {
         "trace": run.trace,
         "accesses": run.accesses,
@@ -408,7 +398,6 @@ def _facts(controller, run):
         "interleavings": (run.interleavings, run.resumed_interleavings),
         "threads": (run.thread_names, run.thread_kinds),
         "digest": run.signature_hash(),
-        "spliced_steps": controller.spliced_steps,
         "checkpoints": [(c.steps, c.horizon_seq, c.fired, c.active)
                         for c in controller.checkpoints],
     }
@@ -429,9 +418,7 @@ def _scenario(draw):
     preemptions = [preemption() for _ in range(draw(st.integers(0, 3)))]
     constraints = [OrderConstraint(*draw(st.sampled_from(points)))
                    for _ in range(draw(st.integers(0, 4)))]
-    siblings = [[preemption() for _ in range(draw(st.integers(1, 2)))]
-                for _ in range(draw(st.integers(1, 3)))]
-    return bug, order, preemptions, constraints, siblings
+    return bug, order, preemptions, constraints
 
 
 def _both(make):
@@ -444,13 +431,12 @@ class TestRunLoopMatchesReference:
     """Differential property: the trap-gated loop and the per-step
     oracle produce identical runs — trace, accesses, spawns, watch
     hits, dropped and infeasible constraints, steps and both
-    interleaving counts — fresh, resumed from a checkpoint, and with
-    suffix splicing."""
+    interleaving counts — fresh and resumed from a checkpoint."""
 
     @given(_scenario(), st.integers(1, 16))
     @settings(max_examples=60, deadline=None)
     def test_fresh_runs(self, scenario, interval):
-        bug, order, preemptions, constraints, _ = scenario
+        bug, order, preemptions, constraints = scenario
         schedule = Schedule(start_order=order, preemptions=preemptions,
                             constraints=constraints)
         new, ref = _both(lambda cls: cls(
@@ -461,7 +447,7 @@ class TestRunLoopMatchesReference:
     @given(_scenario(), st.integers(0, 63), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
     def test_resumed_runs(self, scenario, pick, split):
-        bug, order, preemptions, constraints, _ = scenario
+        bug, order, preemptions, constraints = scenario
         base = ReferenceController(
             bug.machine_factory(),
             Schedule(start_order=order, preemptions=preemptions[:split]),
@@ -476,37 +462,12 @@ class TestRunLoopMatchesReference:
             checkpoint_policy=CheckpointPolicy(interval=4)))
         assert new == ref
 
-    @given(_scenario())
-    @settings(max_examples=30, deadline=None)
-    def test_spliced_run_families(self, scenario):
-        bug, order, preemptions, _, siblings = scenario
-        family = [Schedule(start_order=order, preemptions=extra)
-                  for extra in [preemptions] + siblings]
-
-        def run_family(cls):
-            vehicle = bug.machine_factory()
-            boot = boot_checkpoint(vehicle)
-            cache = ContinuationCache(256)
-            facts = []
-            for schedule in family:
-                session = cache.session()
-                ctl = cls(vehicle, schedule, resume_from=boot,
-                          checkpoint_policy=CheckpointPolicy(),
-                          splice_probe=session.probe)
-                run = ctl.run()
-                session.donate(run)
-                facts.append(_facts(ctl, run))
-            return facts
-
-        assert run_family(ScheduleController) == \
-            run_family(ReferenceController)
-
 
 @pytest.mark.parametrize("bug_id", ["SYZ-01", "SYZ-05"])
 def test_diagnosis_matches_reference_loop(bug_id, monkeypatch):
-    """End to end through the engine — boot resume, prefix resume and
-    splicing in both LIFS and CA — the two loops give the same
-    diagnosis and the same counters."""
+    """End to end through the engine — boot resume and prefix resume in
+    both LIFS and CA — the two loops give the same diagnosis and the
+    same counters."""
     def diagnose():
         tracer = Tracer()
         diagnosis = api.diagnose(bug_id, tracer=tracer)
@@ -517,4 +478,3 @@ def test_diagnosis_matches_reference_loop(bug_id, monkeypatch):
     new = diagnose()
     monkeypatch.setattr(ScheduleController, "run", ReferenceController.run)
     assert diagnose() == new
-    assert new[2]["snapshot.splices"] > 0

@@ -6,9 +6,9 @@
 * **Hash-keyed equivalence** — LIFS dedups runs on the in-process
   ``hash`` of their Mazurkiewicz signature; it must find exactly the
   equivalences the stable digest found.
-* **Splice tails** — a run grafted from a memoized continuation equals
-  a fresh, unspliced run of the same schedule, even when the donor was
-  itself spliced.
+* **Resumed runs** — every run of a whole diagnosis that resumed on
+  the engine's vehicle machine equals a fresh run of the same schedule,
+  and leaves the vehicle in the state the fresh run leaves its machine.
 """
 
 import pytest
@@ -17,9 +17,10 @@ from repro import api
 from repro.core.lifs import LeastInterleavingFirstSearch
 from repro.corpus.registry import get_bug
 from repro.engine.engine import ScheduleExecutionEngine
-from repro.hypervisor.controller import ScheduleController, SpliceSession
+from repro.hypervisor.controller import ScheduleController
 from repro.hypervisor.snapshot import CheckpointPolicy
-from repro.kernel.snapshot import machine_state_key
+
+from helpers import machine_state
 
 
 def _lifs_outcomes(bug_id, monkeypatch):
@@ -91,9 +92,9 @@ class TestCapturePlacement:
         assert len(dense.checkpoints) > len(sparse.checkpoints)
 
     @pytest.mark.parametrize("bug_id,checkpoints,interpreted", [
-        ("SYZ-05", 2, 19),
-        ("CVE-2017-2671", 11, 174),
-        ("SYZ-01", 45, 1322),
+        ("SYZ-05", 2, 26),
+        ("CVE-2017-2671", 11, 314),
+        ("SYZ-01", 45, 2130),
     ])
     def test_pinned_capture_and_step_counts(self, bug_id, checkpoints,
                                             interpreted):
@@ -146,7 +147,7 @@ class TestHashKeyedDedup:
 
 
 # ----------------------------------------------------------------------
-# Splice tails
+# Resumed runs
 # ----------------------------------------------------------------------
 def _run_fields(run):
     return {
@@ -160,53 +161,31 @@ def _run_fields(run):
     }
 
 
-class TestSpliceTails:
-    """Every spliced run of a whole diagnosis (LIFS and CA) against a
-    fresh boot that interprets the schedule end to end, with no
-    continuation cache anywhere near it."""
+class TestResumedRuns:
+    """Every resumed run of a whole diagnosis (LIFS and CA) against a
+    fresh boot that interprets the schedule end to end."""
 
-    @pytest.mark.parametrize("bug_id,nested", [
-        ("SYZ-01", False),
-        ("CVE-2017-15649", False),
-        # The corpus bug whose diagnosis cuts tails from spliced donors.
-        ("SYZ-11", True),
-    ])
-    def test_spliced_runs_equal_fresh_runs(self, bug_id, nested,
-                                           monkeypatch):
-        executed = []
-        donors = []
+    @pytest.mark.parametrize("bug_id", ["SYZ-01", "SYZ-11"])
+    def test_resumed_runs_equal_fresh_runs(self, bug_id, monkeypatch):
+        resumed = []
         execute = ScheduleExecutionEngine.run
-        probe = SpliceSession.probe
 
-        def recording_execute(self, request):
+        def recording(self, request):
             outcome = execute(self, request)
-            executed.append((request, outcome))
+            if outcome.resumed:
+                resumed.append((request, outcome.run,
+                                machine_state(self.snapshot_backend.vehicle)))
             return outcome
 
-        def recording_probe(self, machine, controller):
-            key = (machine._seq, controller._active,
-                   machine_state_key(machine))
-            entry = self._cache.entries.get(key)
-            tail = probe(self, machine, controller)
-            if tail is not None:
-                donors.append(entry[0])
-            return tail
-
-        monkeypatch.setattr(ScheduleExecutionEngine, "run",
-                            recording_execute)
-        monkeypatch.setattr(SpliceSession, "probe", recording_probe)
+        monkeypatch.setattr(ScheduleExecutionEngine, "run", recording)
         api.diagnose(bug_id)
 
         bug = get_bug(bug_id)
-        spliced = [(r, o) for r, o in executed if o.spliced_steps]
-        assert spliced
-        assert len(donors) == len(spliced)
-        for request, outcome in spliced:
+        assert resumed
+        for request, run, vehicle_state in resumed:
+            machine = bug.machine_factory()
             fresh = ScheduleController(
-                bug.machine_factory(), request.schedule,
+                machine, request.schedule,
                 watch_races=request.watch_races).run()
-            assert _run_fields(outcome.run) == _run_fields(fresh)
-        if nested:
-            # Some tails were cut from a donor that was itself spliced.
-            spliced_runs = {id(o.run) for _, o in spliced}
-            assert any(id(donor) in spliced_runs for donor in donors)
+            assert _run_fields(run) == _run_fields(fresh)
+            assert vehicle_state == machine_state(machine)

@@ -170,6 +170,11 @@ class TestSnapshot:
         addr = mem.alloc(16, "obj")
         snap = mem.snapshot()
         mem.free(addr)
-        # Mutating after snapshot must not affect the snapshot contents.
-        obj_states = {o.state for o in snap["objects"].values()}
-        assert obj_states == {ObjectState.ALLOCATED}
+        # Mutating after the snapshot must not affect what it captured:
+        # restored in place or onto another memory, the object is back.
+        other = Memory()
+        other.restore(snap)
+        mem.restore(snap)
+        for restored in (mem, other):
+            obj = restored.object_at(addr, include_freed=True)
+            assert obj.state is ObjectState.ALLOCATED

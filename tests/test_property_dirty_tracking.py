@@ -1,4 +1,4 @@
-"""Property-based tests: O(dirty) snapshots and generation-cached keys.
+"""Property-based tests: O(dirty) snapshots and generation-cached captures.
 
 The memory subsystem captures structurally-shared images (parent
 pointer + dirty overlay) and restores by replaying undo deltas.  These
@@ -8,9 +8,9 @@ properties pin the contract the fast path must keep:
   deep copy would have restored;
 * interleaved captures are independent generations — restoring any one
   of them reproduces precisely the state it captured, in any order;
-* a captured machine's :func:`snapshot_state_key` always equals the
-  live :func:`machine_state_key`, across arbitrary step interleavings,
-  and survives restore.
+* a captured machine's canonical state (``snapshot_state``) always
+  equals the live machine's (``machine_state``), across arbitrary step
+  interleavings, and survives restore.
 """
 
 from hypothesis import given, settings
@@ -19,12 +19,9 @@ from hypothesis import strategies as st
 from repro.kernel.builder import ProgramBuilder
 from repro.kernel.machine import KernelMachine, ThreadSpec
 from repro.kernel.memory import Memory
-from repro.kernel.snapshot import (
-    machine_state_key,
-    restore_machine,
-    snapshot_machine,
-    snapshot_state_key,
-)
+from repro.kernel.snapshot import restore_machine, snapshot_machine
+
+from helpers import machine_state, memory_state, snapshot_state
 
 GLOBALS = ("g0", "g1", "g2")
 
@@ -89,21 +86,21 @@ def test_snapshot_mutate_restore_equals_full_copy(prefix, suffix):
     live = []
     _apply(mem, prefix, live)
     flat = _flat_copy(mem)
-    key = mem.state_key_parts()
+    key = memory_state(mem)
     snap = mem.snapshot()
 
     _apply(mem, suffix, list(live))
     mem.restore(snap)
 
     _assert_matches_flat(mem, flat)
-    assert mem.state_key_parts() == key
+    assert memory_state(mem) == key
     # The restored state is fully usable: the same mutations produce
     # the same result as they did the first time.
     _apply(mem, suffix, list(live))
-    after = mem.state_key_parts()
+    after = memory_state(mem)
     mem.restore(snap)
     _apply(mem, suffix, list(live))
-    assert mem.state_key_parts() == after
+    assert memory_state(mem) == after
 
 
 @given(st.lists(mem_ops, min_size=2, max_size=4), st.randoms())
@@ -115,7 +112,7 @@ def test_interleaved_captures_are_independent(segments, rng):
     for ops in segments:
         _apply(mem, ops, live)
         generations.append((mem.snapshot(), _flat_copy(mem),
-                            mem.state_key_parts()))
+                            memory_state(mem)))
     # Restoring any captured generation — in any order, repeatedly —
     # reproduces exactly the state it captured.
     picks = list(range(len(generations))) * 2
@@ -124,7 +121,7 @@ def test_interleaved_captures_are_independent(segments, rng):
         snap, flat, key = generations[i]
         mem.restore(snap)
         _assert_matches_flat(mem, flat)
-        assert mem.state_key_parts() == key
+        assert memory_state(mem) == key
 
 
 _statement = st.one_of(
@@ -175,13 +172,12 @@ def test_snapshot_key_equals_live_key_across_steps(per_thread, choices,
         if m.halted or not runnable:
             break
         m.step(runnable[choice % len(runnable)].name)
-        assert snapshot_state_key(snapshot_machine(m)) == \
-            machine_state_key(m)
+        assert snapshot_state(snapshot_machine(m)) == machine_state(m)
         if step == capture_at:
-            captured = (snapshot_machine(m), machine_state_key(m))
+            captured = (snapshot_machine(m), machine_state(m))
     if captured is not None:
         snap, key = captured
-        assert snapshot_state_key(snap) == key
+        assert snapshot_state(snap) == key
         restore_machine(m, snap)
-        assert machine_state_key(m) == key
-        assert snapshot_state_key(snapshot_machine(m)) == key
+        assert machine_state(m) == key
+        assert snapshot_state(snapshot_machine(m)) == key

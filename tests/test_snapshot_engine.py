@@ -4,8 +4,8 @@ Covers the three layers end to end: controller-level checkpoint/resume
 (property: resuming from any captured checkpoint is bit-identical to a
 fresh boot), the LIFS accounting identities (``snapshot.hits +
 snapshot.misses == lifs.schedules``), the ``use_snapshots`` ablation
-(identical diagnoses, fewer interpreted steps), continuation splicing,
-and thread-recreating restores.
+(identical diagnoses, fewer interpreted steps), and thread-recreating
+restores.
 """
 
 from hypothesis import given, settings
@@ -27,10 +27,10 @@ from repro.hypervisor.snapshot import (
     capture,
     restore,
 )
-from repro.kernel.snapshot import machine_state_key, snapshot_state_key
 from repro.observe import MemorySink, Tracer
 
-from helpers import fig2_factory, fig2_image, fig2_machine, run_thread
+from helpers import (fig2_factory, fig2_image, fig2_machine, machine_state,
+                     run_thread, snapshot_state)
 
 IMAGE = fig2_image()
 A_LABELS = ["A2", "A5", "A6", "A12"]
@@ -132,7 +132,6 @@ class TestSnapshotAccounting:
         result = lifs.search()
         stats = result.stats
         assert stats.snapshot_hits == 0
-        assert stats.snapshot_splices == 0
         assert stats.snapshot_misses == stats.schedules_executed
 
     def test_ca_hits_plus_misses_equals_flip_schedules(self):
@@ -180,16 +179,6 @@ class TestAblation:
         assert on_steps < off_steps
         assert on.lifs_result.stats.saved_steps > 0
 
-    def test_continuation_splicing_fires_and_stays_identical(self):
-        on = self._diagnose("SYZ-01", True)
-        off = self._diagnose("SYZ-01", False)
-        assert on.lifs_result.stats.snapshot_splices > 0
-        assert on.lifs_result.stats.snapshot_spliced_steps > 0
-        assert on.ca_result.stats.snapshot_splices > 0
-        assert on.chain.render() == off.chain.render()
-        assert on.lifs_result.failure_run.signature_hash() \
-            == off.lifs_result.failure_run.signature_hash()
-
 
 class TestThreadRecreation:
     def test_restore_forward_recreates_spawned_threads(self):
@@ -209,4 +198,4 @@ class TestThreadRecreation:
         # ...and fast-forwarding recreates it, bit-for-bit.
         restore(machine, post)
         assert len(machine.threads) > baseline
-        assert machine_state_key(machine) == snapshot_state_key(post)
+        assert machine_state(machine) == snapshot_state(post)
