@@ -36,7 +36,7 @@ from conftest import OUTPUT_DIR, emit
 from repro.analysis.tables import Table
 from repro.corpus import registry
 from repro.engine.engine import ScheduleExecutionEngine
-from repro.engine.protocol import EnginePolicy, RunRequest
+from repro.engine.protocol import RunRequest
 from repro.hypervisor.controller import ScheduleController
 from repro.hypervisor.snapshot import CheckpointPolicy, boot_checkpoint
 
@@ -114,21 +114,26 @@ def _measure_snapshots(bugs):
 def _measure_replay(bugs):
     """Engine-mediated replay from the deepest prefix checkpoint —
     the triage loop's steady state.  Every resumed run is checked
-    bit-identical (Mazurkiewicz signature) to a fresh inline boot of
-    the same schedule."""
+    bit-identical (Mazurkiewicz signature) to a fresh boot of the same
+    schedule."""
     work = []
     for bug in bugs:
-        engine = ScheduleExecutionEngine(
-            bug.machine_factory, policy=EnginePolicy(use_snapshots=True))
+        engine = ScheduleExecutionEngine(bug.machine_factory)
         schedule = bug.known_failing_schedule
         fresh = ScheduleController(bug.machine_factory(), schedule).run()
-        first = eng_run = engine.run(
+        first = engine.run(
             RunRequest(schedule=schedule, capture_checkpoints=True))
-        assert eng_run.run.signature_hash() == fresh.signature_hash(), \
+        assert first.run.signature_hash() == fresh.signature_hash(), \
             bug.bug_id
-        assert str(eng_run.run.failure) == str(fresh.failure), bug.bug_id
-        deepest = max(first.checkpoints, key=lambda c: c.steps) \
-            if first.checkpoints else None
+        assert str(first.run.failure) == str(fresh.failure), bug.bug_id
+        # The engine captures only where LIFS resumes; dense periodic
+        # captures on the vehicle give the deepest resume point.
+        dense = ScheduleController(
+            engine.vehicle, schedule, resume_from=engine.boot_checkpoint,
+            checkpoint_policy=CheckpointPolicy())
+        dense.run()
+        deepest = max(dense.checkpoints, key=lambda c: c.steps) \
+            if dense.checkpoints else None
         work.append((bug, engine, schedule, deepest, fresh))
 
     best = 0.0

@@ -31,10 +31,8 @@ import os
 from typing import List, Optional, Sequence, Union
 
 from repro.core.causality import CaConfig
-from repro.core.diagnose import Aitia, Diagnosis
+from repro.core.diagnose import DEFAULT_VM_COUNT, Aitia, Diagnosis
 from repro.core.lifs import LifsConfig
-from repro.engine import EnginePolicy
-from repro.hypervisor.manager import DEFAULT_VM_COUNT
 
 #: The triage facade's report type (the service's summary, re-exported
 #: under its documented name).
@@ -102,14 +100,12 @@ def diagnose(bug_or_id: BugLike, *,
     if report is None and pipeline:
         from repro.trace.syzkaller import run_bug_finder
         report = run_bug_finder(bug)
-    resolved = EnginePolicy.resolve(snapshots=snapshots,
-                                    search_policy=policy)
+    use_snapshots = snapshots is None or bool(snapshots)
+    policy = policy or "static"
     if lifs is None:
-        lifs = LifsConfig(use_snapshots=resolved.use_snapshots,
-                          policy=resolved.search_policy)
+        lifs = LifsConfig(use_snapshots=use_snapshots, policy=policy)
     if ca is None:
-        ca = CaConfig(use_snapshots=resolved.use_snapshots,
-                      policy=resolved.search_policy)
+        ca = CaConfig(use_snapshots=use_snapshots, policy=policy)
     return Aitia(bug, report=report, lifs_config=lifs, ca_config=ca,
                  cost_model=cost_model, vm_count=vm_count,
                  tracer=tracer, experience=experience).diagnose()
@@ -134,14 +130,13 @@ def evaluate(bugs: Optional[Sequence[BugLike]] = None, *,
     """
     from repro.analysis.evaluation import evaluate_corpus
 
-    engine = EnginePolicy.resolve(snapshots=snapshots, search_policy=policy)
     resolved = None
     if bugs is not None:
         resolved = [_resolve_bug(b) for b in bugs]
     return evaluate_corpus(resolved, pipeline=pipeline, jobs=jobs,
                            timeout_s=timeout_s,
-                           snapshots=engine.use_snapshots,
-                           policy=engine.search_policy, tracer=tracer)
+                           snapshots=snapshots is None or bool(snapshots),
+                           policy=policy or "static", tracer=tracer)
 
 
 def _triage_sources(spec: TriageSource) -> List[Union[str, object]]:
@@ -186,12 +181,11 @@ def triage(paths_or_corpus: TriageSource = "corpus", *,
     if service is None:
         if isinstance(store, (str, os.PathLike)):
             store = ResultStore(os.fspath(store))
-        engine = EnginePolicy.resolve(search_policy=policy)
         service = TriageService(
             jobs=jobs, store=store,
             timeout_s=DEFAULT_JOB_TIMEOUT_S if timeout_s is None
             else timeout_s,
-            policy=engine.search_policy,
+            policy=policy or "static",
             tracer=tracer)
     for source in _triage_sources(paths_or_corpus):
         if isinstance(source, (str, os.PathLike)):

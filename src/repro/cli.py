@@ -33,8 +33,8 @@ from typing import List, Optional
 from repro import api
 from repro.analysis.report import render_report
 from repro.analysis.tables import Table
+from repro.core.diagnose import DEFAULT_VM_COUNT
 from repro.corpus import registry
-from repro.engine import EnginePolicy
 
 #: One shared default for every subcommand that takes ``--timeout``.
 DEFAULT_TIMEOUT_S = 300.0
@@ -56,7 +56,7 @@ def _parent_parsers():
 
     from repro.policy import POLICY_CHOICES
     policy = argparse.ArgumentParser(add_help=False)
-    policy.add_argument("--policy", choices=POLICY_CHOICES, default=None,
+    policy.add_argument("--policy", choices=POLICY_CHOICES, default="static",
                         help="search policy: 'static' (canonical order, "
                              "the default) or 'adaptive' (rank candidate "
                              "runs by prior-diagnosis experience and "
@@ -77,19 +77,6 @@ def _parent_parsers():
                        help="persistent JSONL result store; repeat "
                             "signatures answer from it as cache hits")
     return trace, policy, pool, store
-
-
-def _engine_policy(args: argparse.Namespace) -> EnginePolicy:
-    """Resolve the run's engine policy from the CLI flags.
-
-    CLI flags sit at the lowest precedence tier: an explicit algorithm
-    config or api keyword (neither expressible from the command line)
-    would win over them, per :meth:`EnginePolicy.resolve`.
-    """
-    no_snapshot = getattr(args, "no_snapshot", False)
-    return EnginePolicy.resolve(
-        cli_snapshots=False if no_snapshot else None,
-        cli_search_policy=getattr(args, "policy", None))
 
 
 def _open_tracer(args: argparse.Namespace):
@@ -148,12 +135,10 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         print(f"[bug finder] {report.crash.failure}")
         print(f"[bug finder] history of {len(report.history)} events")
     tracer = _open_tracer(args)
-    policy = _engine_policy(args)
     try:
         diagnosis = api.diagnose(bug, report=report, vm_count=args.vms,
-                                 snapshots=policy.use_snapshots,
-                                 policy=policy.search_policy,
-                                 tracer=tracer)
+                                 snapshots=not args.no_snapshot,
+                                 policy=args.policy, tracer=tracer)
     finally:
         _close_tracer(tracer, args)
     print(render_report(diagnosis, image=bug.image))
@@ -162,14 +147,12 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     tracer = _open_tracer(args)
-    policy = _engine_policy(args)
     try:
         evaluation = api.evaluate(args.bug_ids or None,
                                   pipeline=args.pipeline, jobs=args.jobs,
                                   timeout_s=args.timeout,
-                                  snapshots=policy.use_snapshots,
-                                  policy=policy.search_policy,
-                                  tracer=tracer)
+                                  snapshots=not args.no_snapshot,
+                                  policy=args.policy, tracer=tracer)
     finally:
         _close_tracer(tracer, args)
     table = Table("corpus evaluation",
@@ -224,10 +207,8 @@ def _cmd_triage(args: argparse.Namespace) -> int:
         sources.append(args.intake)
     tracer = _open_tracer(args)
     store = ResultStore(args.store) if args.store else None
-    policy = _engine_policy(args)
     service = TriageService(jobs=args.jobs, store=store,
-                            timeout_s=args.timeout,
-                            policy=policy.search_policy,
+                            timeout_s=args.timeout, policy=args.policy,
                             tracer=tracer)
     try:
         summary = api.triage(sources, pipeline=args.pipeline,
@@ -260,11 +241,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.daemon.lifecycle import DaemonConfig, run_daemon
     from repro.daemon.tenants import TenantPolicy
 
-    engine = _engine_policy(args)
     config = DaemonConfig(
         host=args.host, port=args.port, data_dir=args.data_dir,
-        jobs=args.jobs, timeout_s=args.timeout,
-        policy=engine.search_policy,
+        jobs=args.jobs, timeout_s=args.timeout, policy=args.policy,
         hot_capacity=args.hot_capacity, max_depth=args.max_depth,
         store_shards=args.store_shards, queue_shards=args.queue_shards,
         batch_size=args.batch_size,
@@ -331,7 +310,7 @@ def _cmd_trace_report(args: argparse.Namespace) -> int:
         print(render_trace_report(args.trace_file))
     except BrokenPipeError:
         raise  # output piped into head/less — main() handles it
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
@@ -381,9 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
                                "engine (snapshot/resume); "
                                "results are bit-identical, only snapshot.* "
                                "accounting differs")
-    diagnose.add_argument("--vms", type=int, default=32,
-                          help="VM pool size for the parallel-time "
-                               "estimate (default 32)")
+    diagnose.add_argument("--vms", type=int, default=DEFAULT_VM_COUNT,
+                          help="VM count for the parallel-time estimate "
+                               f"(default {DEFAULT_VM_COUNT})")
     diagnose.set_defaults(func=_cmd_diagnose)
 
     rep = sub.add_parser("replay",

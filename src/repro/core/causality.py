@@ -46,8 +46,8 @@ from repro.kernel.instructions import Op
 from repro.kernel.machine import KernelMachine
 from repro.observe.tracer import as_tracer
 
-from repro.engine import (CA_COUNTER_NAMES, EnginePolicy, RunPlan,
-                          RunRequest, ScheduleExecutionEngine)
+from repro.engine import (CA_COUNTER_NAMES, RunPlan, RunRequest,
+                          ScheduleExecutionEngine)
 from repro.policy import CandidateMeta, PolicyContext, unit_features
 
 
@@ -201,8 +201,9 @@ class CausalityAnalysis:
         # every flip to fresh boots (resuming would skip the setup's
         # coverage callbacks).
         self.engine = ScheduleExecutionEngine(
-            machine_factory, EnginePolicy.for_ca(self.config),
-            tracer=self.tracer, experience=experience)
+            machine_factory, use_snapshots=self.config.use_snapshots,
+            search_policy=self.config.policy, tracer=self.tracer,
+            experience=experience)
         self.image = self.engine.prime().image
         self.stats = CaStats()
         self._start_order = self.failure_run.schedule.start_order

@@ -35,9 +35,13 @@ from repro.core.lifs import (
     LifsConfig,
     LifsResult,
 )
-from repro.hypervisor.manager import DEFAULT_VM_COUNT
 from repro.observe.tracer import as_tracer
 from repro.policy import ExperienceIndex
+
+#: VMs the paper's manager runs side by side (32 in its evaluation,
+#: section 4.5).  A diagnosis records the count; the idealized parallel
+#: wall time across them is :meth:`StageCost.parallel_seconds`.
+DEFAULT_VM_COUNT = 32
 
 
 @dataclass

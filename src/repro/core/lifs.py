@@ -33,6 +33,7 @@ import bisect
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.races import RaceSet, find_data_races
@@ -43,8 +44,8 @@ from repro.kernel.failures import Failure, FailureKind
 from repro.kernel.machine import KernelMachine
 from repro.observe.tracer import as_tracer
 
-from repro.engine import (LIFS_COUNTER_NAMES, EnginePolicy, RunPlan,
-                          RunRequest, ScheduleExecutionEngine)
+from repro.engine import (LIFS_COUNTER_NAMES, RunPlan, RunRequest,
+                          ScheduleExecutionEngine)
 from repro.policy import (CandidateMeta, PolicyContext,
                           lifs_candidate_features)
 
@@ -97,18 +98,6 @@ class LifsConfig:
     #: bit-identical with the engine on or off (the ``--no-snapshot``
     #: ablation); only ``snapshot.*`` accounting differs.
     use_snapshots: bool = True
-    #: Capture a checkpoint every N executed instructions, besides the
-    #: entry capture and the one just before every preemption fire.  The
-    #: default 0 takes no periodic captures: extensions resume from the
-    #: latest capture before their divergence, the pre-fire captures
-    #: harvested from earlier siblings already sit close to it, and
-    #: periodic ones cost more to take than the few steps they save.
-    snapshot_interval: int = 0
-    #: Per-run cap on captured checkpoints.
-    max_checkpoints_per_run: int = 64
-    #: Retain full ``RunResult``s for ``sample_runs`` instead of the
-    #: lightweight summaries that are replayed on demand.
-    keep_full_runs: bool = False
     #: Which :mod:`repro.policy` search policy shapes frontier-extension
     #: batches (``--policy``): ``"static"`` (the canonical lazy
     #: front-to-back order, the default) or ``"adaptive"``
@@ -178,24 +167,15 @@ class LifsResult:
     run_summaries: List[RunSummary] = field(default_factory=list)
     _replayer: Optional[Callable[[Schedule], RunResult]] = field(
         default=None, repr=False, compare=False)
-    _materialized: Optional[List[RunResult]] = field(
-        default=None, repr=False, compare=False)
 
-    @property
+    @cached_property
     def sample_runs(self) -> List[RunResult]:
-        """Full ``RunResult``s for the retained schedules.
-
-        Replayed on demand (execution is deterministic, so the replay is
-        exact) and cached; with ``LifsConfig.keep_full_runs`` the search
-        hands over the original runs instead.
-        """
-        if self._materialized is None:
-            if self._replayer is None:
-                self._materialized = []
-            else:
-                self._materialized = [self._replayer(s.schedule)
-                                      for s in self.run_summaries]
-        return self._materialized
+        """Full ``RunResult``s for the retained schedules, replayed on
+        first access (execution is deterministic, so the replay is
+        exact)."""
+        if self._replayer is None:
+            return []
+        return [self._replayer(s.schedule) for s in self.run_summaries]
 
     @property
     def failure_sequence(self):
@@ -272,13 +252,13 @@ class LeastInterleavingFirstSearch:
         self._signatures: Set[int] = set()
         self._tried_schedules: Set[Tuple] = set()
         self._run_summaries: List[RunSummary] = []
-        self._kept_runs: List[RunResult] = []
         # All execution placement (snapshot resume, coverage
         # pinning) lives in the engine; the search only decides *which*
         # schedules to run and in what order.
         self.engine = ScheduleExecutionEngine(
-            machine_factory, EnginePolicy.for_lifs(self.config),
-            tracer=self.tracer, experience=experience)
+            machine_factory, use_snapshots=self.config.use_snapshots,
+            search_policy=self.config.policy, tracer=self.tracer,
+            experience=experience)
 
     # ------------------------------------------------------------------
     def search(self) -> LifsResult:
@@ -556,8 +536,6 @@ class LeastInterleavingFirstSearch:
             self._run_summaries.append(RunSummary(
                 schedule=schedule, failure=run.failure, steps=run.steps,
                 interleavings=run.interleavings))
-            if self.config.keep_full_runs:
-                self._kept_runs.append(run)
         return duplicate
 
     def _replay(self, schedule: Schedule) -> RunResult:
@@ -632,15 +610,11 @@ class LeastInterleavingFirstSearch:
             reproduced=True, failure_run=run, races=races, stats=self.stats,
             interleaving_count=run.interleavings,
             run_summaries=list(self._run_summaries),
-            _replayer=self._replay,
-            _materialized=(list(self._kept_runs)
-                           if self.config.keep_full_runs else None))
+            _replayer=self._replay)
 
     def _give_up(self) -> LifsResult:
         return LifsResult(
             reproduced=False, failure_run=None, races=RaceSet(),
             stats=self.stats,
             run_summaries=list(self._run_summaries),
-            _replayer=self._replay,
-            _materialized=(list(self._kept_runs)
-                           if self.config.keep_full_runs else None))
+            _replayer=self._replay)

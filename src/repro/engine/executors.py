@@ -13,8 +13,8 @@ which returns
 * :class:`~repro.service.pool.InProcessPool` — the same contract with
   no processes, at ``jobs=1`` or where forking is impossible.
 
-Each diagnosis runs its schedules in one process, through the engine's
-inline or snapshot backend (:mod:`repro.engine.engine`).
+Each diagnosis runs its schedules in one process, through
+:class:`~repro.engine.engine.ScheduleExecutionEngine`.
 """
 
 from __future__ import annotations

@@ -11,97 +11,19 @@ that primitive's vocabulary:
   round, a CA flip phase) the engine executes as one phase;
 * :class:`RunOutcome`  — the run plus the placement facts accounting
   needs (resumed? prefix/setup steps, captured checkpoints);
-* :class:`EnginePolicy` — which backends the engine composes, resolved
-  once from an algorithm config, api kwargs and CLI flags;
 * :class:`EngineStats` — the engine-side accounting, published as
   counters by :meth:`ScheduleExecutionEngine.emit_counters`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only, no import cycle
     from repro.core.schedule import Schedule
     from repro.hypervisor.controller import RunResult
     from repro.hypervisor.snapshot import RunCheckpoint
-
-
-def _cfg(config, name):
-    """A config field, or ``None`` when absent/unset."""
-    if config is None:
-        return None
-    return getattr(config, name, None)
-
-
-def _pick(*values, default):
-    """First non-``None`` value, else the default."""
-    for value in values:
-        if value is not None:
-            return value
-    return default
-
-
-@dataclass(frozen=True)
-class EnginePolicy:
-    """Everything the engine needs to pick and parameterize backends.
-
-    One policy instance selects the backend composition — snapshots
-    on/off (``SnapshotBackend`` vs ``InlineBackend``) — plus checkpoint
-    density and the search policy.
-    """
-
-    use_snapshots: bool = True
-    #: Capture a checkpoint every N executed instructions (besides the
-    #: entry and pre-fire captures); 0 takes no periodic captures.
-    snapshot_interval: int = 8
-    #: Per-run cap on captured checkpoints.
-    max_checkpoints_per_run: int = 64
-    #: Which :mod:`repro.policy` search policy shapes candidate plans
-    #: (``"static"``, ``"adaptive"``, ...).  Resolved here so precedence
-    #: (config > api kwarg > CLI) is decided once; the engine builds the
-    #: policy object lazily at construction.
-    search_policy: str = "static"
-
-    @classmethod
-    def resolve(cls, config=None, *,
-                snapshots: Optional[bool] = None,
-                search_policy: Optional[str] = None,
-                cli_snapshots: Optional[bool] = None,
-                cli_search_policy: Optional[str] = None) -> "EnginePolicy":
-        """Resolve a policy with precedence config > api kwarg > CLI flag.
-
-        ``config`` is an algorithm config (``LifsConfig`` / ``CaConfig``
-        or anything duck-typed like one); when it is given, its fields
-        win outright — an explicit config is the strongest statement of
-        intent.  ``snapshots`` / ``search_policy`` are the
-        :mod:`repro.api` keyword tier, the ``cli_*`` names the parsed
-        command-line tier; ``None`` anywhere means "unset, fall
-        through".
-        """
-        return cls(
-            use_snapshots=bool(_pick(
-                _cfg(config, "use_snapshots"), snapshots, cli_snapshots,
-                default=True)),
-            snapshot_interval=_pick(
-                _cfg(config, "snapshot_interval"), default=8),
-            max_checkpoints_per_run=_pick(
-                _cfg(config, "max_checkpoints_per_run"), default=64),
-            search_policy=str(_pick(
-                _cfg(config, "policy"), search_policy, cli_search_policy,
-                default="static")))
-
-    @classmethod
-    def for_lifs(cls, config) -> "EnginePolicy":
-        """The policy a ``LifsConfig`` implies."""
-        return cls.resolve(config=config)
-
-    @classmethod
-    def for_ca(cls, config) -> "EnginePolicy":
-        """The policy a ``CaConfig`` implies (flip runs never capture
-        checkpoints, so the checkpoint knobs stay at their defaults)."""
-        return cls.resolve(config=config)
 
 
 @dataclass(frozen=True)
@@ -117,12 +39,10 @@ class RunRequest:
     #: Capture prefix checkpoints during the run (LIFS harvests them for
     #: extension resume; flip runs never need them).
     capture_checkpoints: bool = False
-    #: Free-form origin label, for diagnostics.
-    label: str = ""
     #: Policy-facing candidate identity (a
     #: :class:`repro.policy.protocol.CandidateMeta`): submission index,
-    #: canonical sort key and experience features.  Opaque to every
-    #: backend — placement never reads it.
+    #: canonical sort key and experience features.  Opaque to the
+    #: engine — placement never reads it.
     meta: Optional[object] = None
 
 
@@ -132,8 +52,8 @@ class RunPlan:
 
     requests: List[RunRequest]
     #: Phase label ("lifs.extend", "ca.identify", ...), surfaced as
-    #: the ``engine.plan`` trace point so reports can show which backend
-    #: served each phase.
+    #: the ``engine.plan`` trace point so reports can show whether each
+    #: phase resumed from snapshots.
     phase: str = ""
 
 
@@ -150,8 +70,6 @@ class RunOutcome:
     prefix_steps: int = 0
     #: Boot-setup steps of the machine the run used.
     setup_steps: int = 0
-    #: Which backend produced the run ("inline", "snapshot").
-    backend: str = "inline"
 
 
 @dataclass
@@ -172,8 +90,6 @@ class EngineStats:
     #: Steps the interpreter really executed (suffixes, plus setup on
     #: fresh boots).
     interpreted_steps: int = 0
-    #: Requests served per backend name.
-    backend_requests: Dict[str, int] = field(default_factory=dict)
 
 
 #: How :class:`EngineStats` fields map onto the LIFS counter names the

@@ -11,14 +11,13 @@ This package provides the same capabilities over the simulated kernel:
 * :mod:`repro.hypervisor.trampoline` — parking of suspended threads;
 * :mod:`repro.hypervisor.controller` — enforcement of reproduce/diagnosis
   schedules (the hypercall protocol of sections 4.3–4.5);
-* :mod:`repro.hypervisor.vm` — one bootable VM with reboot accounting;
-* :mod:`repro.hypervisor.manager` — the pool of reproducer/diagnoser VMs.
+* :mod:`repro.hypervisor.snapshot` — machine snapshots and the mid-run
+  checkpoints a run resumes from instead of rebooting.
 """
 
 from repro.hypervisor.agent import ObservedRace, UserAgent
 from repro.hypervisor.breakpoints import BreakpointManager, WatchpointManager
 from repro.hypervisor.controller import RunResult, ScheduleController
-from repro.hypervisor.manager import VmPool
 from repro.hypervisor.replay import Recording, record, replay
 from repro.hypervisor.snapshot import (
     CheckpointPolicy,
@@ -29,7 +28,6 @@ from repro.hypervisor.snapshot import (
     restore,
 )
 from repro.hypervisor.trampoline import Trampoline
-from repro.hypervisor.vm import VirtualMachine
 
 __all__ = [
     "BreakpointManager",
@@ -43,8 +41,6 @@ __all__ = [
     "ScheduleController",
     "Trampoline",
     "UserAgent",
-    "VirtualMachine",
-    "VmPool",
     "WatchpointManager",
     "capture",
     "record",

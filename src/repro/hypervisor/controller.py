@@ -146,8 +146,8 @@ class ScheduleController:
     loop is deterministic in (machine state, pending preemptions,
     constraints, trampoline, active thread) — so the resulting
     :class:`RunResult` is bit-identical, including ``steps``, which keeps
-    whole-run semantics (prefix + suffix); callers account saved work via
-    :attr:`resumed_from_steps`.
+    whole-run semantics (prefix + suffix); the checkpoint's own ``steps``
+    is the work the resume skipped.
 
     With ``checkpoint_policy`` set, the run captures prefix checkpoints
     into :attr:`checkpoints` for later runs to resume from: one at entry
@@ -194,11 +194,6 @@ class ScheduleController:
                                 for c in self._constraints]
         for bp in self._constraint_bps:
             self.breakpoints.install(bp)
-
-    @property
-    def resumed_from_steps(self) -> int:
-        """Controller steps inherited from the checkpoint (skipped work)."""
-        return self._resumed_from.steps if self._resumed_from else 0
 
     def _apply_checkpoint(self, ckpt: RunCheckpoint) -> None:
         # A checkpoint past the boot point encodes scheduling decisions,
@@ -531,14 +526,6 @@ class ScheduleController:
             thread_names=[t.name for t in self.machine.threads],
             thread_kinds={t.name: t.kind.value for t in self.machine.threads},
         )
-
-
-def run_schedule(machine_factory, schedule: Schedule,
-                 watch_races: bool = True, tracer=None) -> RunResult:
-    """Boot a fresh machine from ``machine_factory`` and run ``schedule``."""
-    controller = ScheduleController(machine_factory(), schedule,
-                                    watch_races=watch_races, tracer=tracer)
-    return controller.run()
 
 
 def serial_schedule(order: Sequence[str], note: str = "") -> Schedule:

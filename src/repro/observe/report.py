@@ -22,13 +22,22 @@ from repro.observe.events import (
 
 
 def load_events(path: str) -> List[TraceEvent]:
-    """Parse a JSONL trace file; blank lines are skipped."""
+    """Parse a JSONL trace file; blank lines are skipped.
+
+    A line that is not a trace event — a run killed mid-write leaves a
+    torn last line — raises ``ValueError`` naming the file and line.
+    """
     events: List[TraceEvent] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 events.append(parse_line(line))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(
+                    f"{path}:{number}: not a trace event ({exc})") from exc
     return events
 
 
@@ -134,12 +143,6 @@ def render_trace_report(
         lines += ["", "execution engine: "
                       f"{counters.get('engine.requests', 0)} requests over "
                       f"{counters.get('engine.plans', 0)} plans"]
-        backends = ", ".join(
-            f"{name.split('.', 2)[2]}={count}"
-            for name, count in sorted(counters.items())
-            if name.startswith("engine.backend."))
-        if backends:
-            lines += [f"  backends: {backends}"]
         for phase in summary["engine_plan_order"]:
             bucket = summary["engine_plans"][phase]
             served = ", ".join(f"{backend} x{count}" for backend, count

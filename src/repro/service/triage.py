@@ -64,23 +64,22 @@ def diagnose_job(payload: dict) -> dict:
         report = None
     else:
         raise ValueError(f"unknown triage mode {mode!r}")
-    from repro.engine import EnginePolicy
     from repro.policy import ExperienceIndex
 
     # Payloads written before 3.0 (daemon journal lines, 2.x triage
     # jobs) may carry "wave_jobs" and "executor"; both are ignored, so
     # a replayed journal diagnoses exactly as it did when written.
-    policy = EnginePolicy.resolve(search_policy=payload.get("policy"))
+    policy = payload.get("policy") or "static"
     experience = None
-    if policy.search_policy != "static":
+    if policy != "static":
         # Rebuild the submitter's experience index from the payload
         # snapshot (empty priors otherwise) — the adaptive policy ranks
         # candidates against it inside this worker.
         experience = ExperienceIndex.from_snapshot(payload.get("experience"))
     diagnosis = Aitia(
         bug, report=report,
-        lifs_config=LifsConfig(policy=policy.search_policy),
-        ca_config=CaConfig(policy=policy.search_policy),
+        lifs_config=LifsConfig(policy=policy),
+        ca_config=CaConfig(policy=policy),
         experience=experience).diagnose()
     row = summarize_diagnosis(bug, diagnosis)
     result = {"bug_id": bug.bug_id, "mode": mode, "row": asdict(row)}

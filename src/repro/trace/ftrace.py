@@ -60,7 +60,10 @@ def _parse_kv(token: str, key: str) -> str:
 
 
 def parse_ftrace(text: str) -> ExecutionHistory:
-    """Parse the textual log format back into a history."""
+    """Parse the textual log format back into a history.
+
+    Any malformed line — including one a truncated log cut short —
+    raises :class:`FtraceParseError` naming the line."""
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0].strip() != HEADER:
         raise FtraceParseError("missing ftrace header")
@@ -68,39 +71,50 @@ def parse_ftrace(text: str) -> ExecutionHistory:
     for line in lines[1:]:
         if line.lstrip().startswith("#"):
             continue
-        parts = line.split()
         try:
-            timestamp = float(parts[0])
+            _parse_event(line, history)
+        except FtraceParseError:
+            raise
         except (IndexError, ValueError) as exc:
-            raise FtraceParseError(f"bad timestamp in {line!r}") from exc
-        if len(parts) >= 3 and parts[2] == "panic" or (
-                len(parts) >= 2 and parts[1] == "-"):
-            history.failure_time = timestamp
-            continue
-        proc, kind = parts[1], parts[2]
-        if kind == "sys_enter:":
-            call, _, fd_part = parts[3].partition("(")
-            fd_token = fd_part.rstrip(")")
-            fd_value = _parse_kv(fd_token, "fd")
-            fd = None if fd_value == "-" else int(fd_value)
-            entry = _parse_kv(parts[4], "entry")
-            duration = float(_parse_kv(parts[5], "dur"))
-            is_setup = len(parts) > 6 and parts[6] == "setup"
-            history.add(SyscallEvent(
-                timestamp=timestamp, proc=proc, name=call, entry=entry,
-                fd=fd, duration=duration, is_setup=is_setup))
-        elif kind == "invoke:":
-            thread_kind = ThreadKind(parts[3])
-            func = _parse_kv(parts[4], "func")
-            src = _parse_kv(parts[5], "src")
-            source_proc, _, source_syscall = src.partition("/")
-            duration = float(_parse_kv(parts[6], "dur"))
-            history.add(KthreadInvocation(
-                timestamp=timestamp, kind=thread_kind, func=func,
-                source_proc=source_proc,
-                source_syscall="" if source_syscall == "-"
-                else source_syscall,
-                duration=duration))
-        else:
-            raise FtraceParseError(f"unknown event kind in {line!r}")
+            # Missing fields, half a number or an unknown thread kind.
+            raise FtraceParseError(f"malformed event in {line!r}") from exc
     return history
+
+
+def _parse_event(line: str, history: ExecutionHistory) -> None:
+    """Parse one event line into ``history``."""
+    parts = line.split()
+    try:
+        timestamp = float(parts[0])
+    except (IndexError, ValueError) as exc:
+        raise FtraceParseError(f"bad timestamp in {line!r}") from exc
+    if len(parts) >= 3 and parts[2] == "panic" or (
+            len(parts) >= 2 and parts[1] == "-"):
+        history.failure_time = timestamp
+        return
+    proc, kind = parts[1], parts[2]
+    if kind == "sys_enter:":
+        call, _, fd_part = parts[3].partition("(")
+        fd_token = fd_part.rstrip(")")
+        fd_value = _parse_kv(fd_token, "fd")
+        fd = None if fd_value == "-" else int(fd_value)
+        entry = _parse_kv(parts[4], "entry")
+        duration = float(_parse_kv(parts[5], "dur"))
+        is_setup = len(parts) > 6 and parts[6] == "setup"
+        history.add(SyscallEvent(
+            timestamp=timestamp, proc=proc, name=call, entry=entry,
+            fd=fd, duration=duration, is_setup=is_setup))
+    elif kind == "invoke:":
+        thread_kind = ThreadKind(parts[3])
+        func = _parse_kv(parts[4], "func")
+        src = _parse_kv(parts[5], "src")
+        source_proc, _, source_syscall = src.partition("/")
+        duration = float(_parse_kv(parts[6], "dur"))
+        history.add(KthreadInvocation(
+            timestamp=timestamp, kind=thread_kind, func=func,
+            source_proc=source_proc,
+            source_syscall="" if source_syscall == "-"
+            else source_syscall,
+            duration=duration))
+    else:
+        raise FtraceParseError(f"unknown event kind in {line!r}")

@@ -6,7 +6,9 @@ import pytest
 import repro
 from repro import api
 from repro.cli import build_parser, main
+from repro.core.causality import CaConfig
 from repro.core.diagnose import Aitia
+from repro.core.lifs import LifsConfig
 from repro.corpus import registry
 
 
@@ -48,6 +50,30 @@ class TestDiagnoseParity:
         facade = api.diagnose(bug, report=report)
         legacy = Aitia(bug, report=report).diagnose()
         assert facade.chain.render() == legacy.chain.render()
+
+
+class TestExplicitConfigWins:
+    """An explicit stage config beats the api keywords for its own
+    stage; the other stage still follows the keywords."""
+
+    @staticmethod
+    def _pruned(diagnosis):
+        return sum(1 for test in diagnosis.ca_result.tests
+                   if test.note == "invariant-pruned")
+
+    def test_lifs_config_beats_snapshots_kwarg(self):
+        diagnosis = api.diagnose("SYZ-05", snapshots=True,
+                                 lifs=LifsConfig(use_snapshots=False))
+        assert diagnosis.lifs_result.stats.snapshot_hits == 0
+        assert diagnosis.ca_result.stats.snapshot_hits > 0
+
+    def test_ca_config_beats_policy_kwarg(self):
+        adaptive = api.diagnose("CVE-2018-12232", policy="adaptive")
+        assert self._pruned(adaptive) > 0
+        explicit = api.diagnose("CVE-2018-12232", policy="adaptive",
+                                ca=CaConfig(policy="static"))
+        assert self._pruned(explicit) == 0
+        assert explicit.chain.render() == adaptive.chain.render()
 
 
 class TestEvaluateFacade:
@@ -197,3 +223,19 @@ class TestUnifiedCliFlags:
     def test_trace_report_missing_file(self, capsys):
         assert main(["trace-report", "/nonexistent/t.jsonl"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_trace_report_torn_last_line(self, tmp_path, capsys):
+        """A traced run killed mid-write leaves a partial last line:
+        a usage-style error naming the line, not a traceback."""
+        trace = tmp_path / "t.jsonl"
+        assert main(["diagnose", "SYZ-05", "--trace", str(trace)]) == 0
+        text = trace.read_bytes()
+        # Ten bytes into the line that straddles the three-quarter mark.
+        cut = text.rindex(b"\n", 0, len(text) * 3 // 4) + 10
+        torn_line = text.count(b"\n", 0, cut) + 1
+        trace.write_bytes(text[:cut])
+        capsys.readouterr()
+        assert main(["trace-report", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{trace}:{torn_line}:" in err

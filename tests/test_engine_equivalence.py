@@ -1,6 +1,5 @@
-"""The execution engine's core contract: every backend combination
-returns bit-identical runs, and policy resolution respects the
-config > api kwarg > CLI flag precedence."""
+"""The execution engine's core contract: a run resumed from a snapshot
+is bit-identical to the same run booted fresh."""
 
 import pathlib
 
@@ -8,11 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.causality import CaConfig
-from repro.core.lifs import LifsConfig
 from repro.core.schedule import Preemption, Schedule
-from repro.engine import (EnginePolicy, RunPlan, RunRequest,
-                          ScheduleExecutionEngine)
+from repro.engine import RunPlan, RunRequest, ScheduleExecutionEngine
 
 from helpers import fig2_image, fig2_machine, two_counter_machine
 
@@ -20,10 +16,10 @@ IMAGE = fig2_image()
 A_LABELS = ["A2", "A5", "A6", "A12"]
 B_LABELS = ["B2", "B11", "B12", "B17a"]
 
-#: Every backend the engine can select.
+#: Both run paths: every request boots fresh, or resumes on the vehicle.
 POLICIES = {
-    "inline": EnginePolicy(use_snapshots=False),
-    "snapshot": EnginePolicy(use_snapshots=True),
+    "inline": False,
+    "snapshot": True,
 }
 
 
@@ -57,14 +53,15 @@ class TestBackendEquivalence:
     @settings(max_examples=15, deadline=None)
     def test_every_backend_returns_identical_outcomes(
             self, preempts_a, preempts_b, start_first):
-        """One plan of random schedules, executed through every backend
-        composition, yields the same runs bit for bit — placement and
-        accounting are the only things a policy may change."""
+        """One plan of random schedules, executed with snapshots on and
+        off, yields the same runs bit for bit — placement and accounting
+        are the only things snapshots may change."""
         schedules = [_schedule(preempts_a, start_first, "p1"),
                      _schedule(preempts_b, not start_first, "p2")]
         results = {}
-        for name, policy in POLICIES.items():
-            engine = ScheduleExecutionEngine(fig2_machine, policy)
+        for name, use_snapshots in POLICIES.items():
+            engine = ScheduleExecutionEngine(fig2_machine,
+                                             use_snapshots=use_snapshots)
             outcomes = engine.run_plan(RunPlan(
                 [RunRequest(schedule=s, capture_checkpoints=True)
                  for s in schedules], phase="equivalence"))
@@ -76,22 +73,26 @@ class TestBackendEquivalence:
     def test_single_requests_match_plans(self):
         """run() and run_plan() agree for the same schedules."""
         schedule = _schedule([("A6", "B"), ("B12", None)], True, "s")
-        for policy in POLICIES.values():
-            run_engine = ScheduleExecutionEngine(fig2_machine, policy)
-            plan_engine = ScheduleExecutionEngine(fig2_machine, policy)
+        for use_snapshots in POLICIES.values():
+            run_engine = ScheduleExecutionEngine(
+                fig2_machine, use_snapshots=use_snapshots)
+            plan_engine = ScheduleExecutionEngine(
+                fig2_machine, use_snapshots=use_snapshots)
             via_run = run_engine.run(RunRequest(schedule=schedule))
             via_plan = plan_engine.run_plan(
                 RunPlan([RunRequest(schedule=schedule)]))[0]
             assert _run_facts(via_run) == _run_facts(via_plan)
 
     def test_benign_program_equivalence(self):
-        """The counter-bumping model (no failure) agrees across backends
-        too — equivalence is not an artifact of the crash path."""
+        """The counter-bumping model (no failure) agrees with snapshots
+        on and off too — equivalence is not an artifact of the crash
+        path."""
         schedules = [Schedule(start_order=("A", "B")),
                      Schedule(start_order=("B", "A"))]
         baseline = None
-        for policy in POLICIES.values():
-            engine = ScheduleExecutionEngine(two_counter_machine, policy)
+        for use_snapshots in POLICIES.values():
+            engine = ScheduleExecutionEngine(two_counter_machine,
+                                             use_snapshots=use_snapshots)
             facts = [_run_facts(o) for o in engine.run_plan(
                 RunPlan([RunRequest(schedule=s) for s in schedules]))]
             if baseline is None:
@@ -106,59 +107,11 @@ class TestSpeculationDedup:
         """Two identical requests execute twice: CA's edge recheck
         depends on plain runs never reusing results."""
         schedule = _schedule([("A6", None)], True, "x")
-        engine = ScheduleExecutionEngine(fig2_machine, EnginePolicy())
+        engine = ScheduleExecutionEngine(fig2_machine)
         first = engine.run(RunRequest(schedule=schedule))
         second = engine.run(RunRequest(schedule=schedule))
         assert second is not first and second.run is not first.run
         assert engine.stats.requests == 2
-
-
-class TestEnginePolicyResolution:
-    def test_defaults(self):
-        policy = EnginePolicy.resolve()
-        assert policy.use_snapshots is True
-        assert policy.search_policy == "static"
-
-    def test_cli_flags_beat_defaults(self):
-        policy = EnginePolicy.resolve(cli_snapshots=False,
-                                      cli_search_policy="adaptive")
-        assert policy.use_snapshots is False
-        assert policy.search_policy == "adaptive"
-
-    def test_api_kwargs_beat_cli_flags(self):
-        policy = EnginePolicy.resolve(snapshots=True, search_policy="static",
-                                      cli_snapshots=False,
-                                      cli_search_policy="adaptive")
-        assert policy.use_snapshots is True
-        assert policy.search_policy == "static"
-
-    def test_config_beats_everything(self):
-        config = LifsConfig(use_snapshots=False, policy="adaptive")
-        policy = EnginePolicy.resolve(config=config, snapshots=True,
-                                      search_policy="static",
-                                      cli_snapshots=True,
-                                      cli_search_policy="static")
-        assert policy.use_snapshots is False
-        assert policy.search_policy == "adaptive"
-
-    def test_unset_tiers_fall_through(self):
-        policy = EnginePolicy.resolve(snapshots=None, search_policy=None,
-                                      cli_snapshots=None,
-                                      cli_search_policy="adaptive")
-        assert policy.use_snapshots is True
-        assert policy.search_policy == "adaptive"
-
-    def test_config_carries_tuning_knobs(self):
-        config = LifsConfig(snapshot_interval=4, max_checkpoints_per_run=16)
-        policy = EnginePolicy.for_lifs(config)
-        assert policy.snapshot_interval == 4
-        assert policy.max_checkpoints_per_run == 16
-
-    def test_ca_config_resolves_too(self):
-        policy = EnginePolicy.for_ca(CaConfig(use_snapshots=False,
-                                              policy="adaptive"))
-        assert policy.use_snapshots is False
-        assert policy.search_policy == "adaptive"
 
 
 class TestAlgorithmPurity:

@@ -174,7 +174,7 @@ class TestResumedRuns:
             outcome = execute(self, request)
             if outcome.resumed:
                 resumed.append((request, outcome.run,
-                                machine_state(self.snapshot_backend.vehicle)))
+                                machine_state(self.vehicle)))
             return outcome
 
         monkeypatch.setattr(ScheduleExecutionEngine, "run", recording)

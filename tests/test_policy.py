@@ -2,8 +2,7 @@
 
 Covers the policy objects themselves (ordering, pruning, stats), the
 experience index (extraction, absorption, snapshot round-trips, store
-loading), the engine-policy resolution precedence, the canonical
-tie-break keys in Causality Analysis, and end-to-end bit-identity of
+loading), the canonical tie-break keys in Causality Analysis, and end-to-end bit-identity of
 diagnoses across policies.
 """
 
@@ -14,7 +13,6 @@ import pytest
 from repro import api
 from repro.core.causality import CausalityAnalysis, RaceUnit
 from repro.core.races import DataRace
-from repro.engine import EnginePolicy
 from repro.engine.protocol import RunPlan, RunRequest
 from repro.kernel.access import AccessKind, MemoryAccess
 from repro.observe.tracer import Tracer
@@ -64,27 +62,6 @@ def _plan(metas):
 def _meta(index, sort_key, features=()):
     return CandidateMeta(index=index, sort_key=sort_key,
                          features=tuple(features))
-
-
-class TestResolvePrecedence:
-    def test_default_is_static(self):
-        assert EnginePolicy.resolve().search_policy == "static"
-
-    def test_cli_tier(self):
-        policy = EnginePolicy.resolve(cli_search_policy="adaptive")
-        assert policy.search_policy == "adaptive"
-
-    def test_api_kwarg_beats_cli(self):
-        policy = EnginePolicy.resolve(search_policy="adaptive",
-                                      cli_search_policy="static")
-        assert policy.search_policy == "adaptive"
-
-    def test_config_beats_everything(self):
-        from repro.core.lifs import LifsConfig
-        policy = EnginePolicy.resolve(config=LifsConfig(policy="adaptive"),
-                                      search_policy="static",
-                                      cli_search_policy="static")
-        assert policy.search_policy == "adaptive"
 
 
 class TestMakePolicy:

@@ -7,7 +7,7 @@ import pytest
 from repro import api
 from repro.analysis.evaluation import evaluate_corpus
 from repro.cli import main
-from repro.corpus.registry import get_bug
+from repro.corpus.registry import all_bugs, get_bug
 from repro.service.artifacts import (
     ArtifactParseError,
     CrashArtifact,
@@ -18,7 +18,11 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.queue import JobOutcome
 from repro.service.store import ResultStore
 from repro.service.triage import TriageService, diagnose_job
+from repro.trace.crash import CrashParseError
+from repro.trace.ftrace import FtraceParseError
 from repro.trace.syzkaller import run_bug_finder
+
+BUG_IDS = [bug.bug_id for bug in all_bugs()]
 
 
 class TestArtifacts:
@@ -52,6 +56,19 @@ class TestArtifacts:
     def test_parse_errors(self, text, match):
         with pytest.raises(ArtifactParseError, match=match):
             CrashArtifact.parse(text)
+
+    @pytest.mark.parametrize("bug_id", BUG_IDS)
+    def test_every_truncation_parses_or_fails_cleanly(self, bug_id):
+        """A bundle cut anywhere (a partial upload, a full disk) still
+        yields a report or raises one of the three parse errors — never
+        a bare IndexError/ValueError from inside a parser."""
+        text = CrashArtifact.from_report(
+            run_bug_finder(get_bug(bug_id))).render() + "\n"
+        for cut in range(len(text) + 1):
+            try:
+                CrashArtifact.parse(text[:cut]).to_report()
+            except (ArtifactParseError, CrashParseError, FtraceParseError):
+                pass
 
 
 class TestTriageService:
