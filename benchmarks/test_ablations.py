@@ -151,9 +151,7 @@ def test_vm_pool_parallelism(benchmark):
     result = benchmark.pedantic(lambda: _search(bug), rounds=1,
                                 iterations=1)
     model = CostModel()
-    cost = model.stage_cost(result.stats.schedules_executed,
-                            result.stats.total_steps,
-                            result.stats.failing_runs)
+    cost = result.stats.stage_cost(model)
     table = Table("Ablation — reproducing-stage wall time vs VM count",
                   ["VMs", "simulated wall time (s)"])
     for vms in (1, 2, 8, 32):

@@ -31,7 +31,7 @@ import os
 from typing import List, Optional, Sequence, Union
 
 from repro.core.causality import CaConfig
-from repro.core.diagnose import DEFAULT_VM_COUNT, Aitia, Diagnosis
+from repro.core.diagnose import Aitia, Diagnosis
 from repro.core.lifs import LifsConfig
 
 #: The triage facade's report type (the service's summary, re-exported
@@ -60,7 +60,6 @@ def diagnose(bug_or_id: BugLike, *,
              lifs: Optional[LifsConfig] = None,
              ca: Optional[CaConfig] = None,
              cost_model=None,
-             vm_count: int = DEFAULT_VM_COUNT,
              snapshots: Optional[bool] = None,
              executor: Optional[str] = None,
              policy: Optional[str] = None,
@@ -107,8 +106,8 @@ def diagnose(bug_or_id: BugLike, *,
     if ca is None:
         ca = CaConfig(use_snapshots=use_snapshots, policy=policy)
     return Aitia(bug, report=report, lifs_config=lifs, ca_config=ca,
-                 cost_model=cost_model, vm_count=vm_count,
-                 tracer=tracer, experience=experience).diagnose()
+                 cost_model=cost_model, tracer=tracer,
+                 experience=experience).diagnose()
 
 
 def evaluate(bugs: Optional[Sequence[BugLike]] = None, *,

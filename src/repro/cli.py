@@ -33,7 +33,6 @@ from typing import List, Optional
 from repro import api
 from repro.analysis.report import render_report
 from repro.analysis.tables import Table
-from repro.core.diagnose import DEFAULT_VM_COUNT
 from repro.corpus import registry
 
 #: One shared default for every subcommand that takes ``--timeout``.
@@ -136,7 +135,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         print(f"[bug finder] history of {len(report.history)} events")
     tracer = _open_tracer(args)
     try:
-        diagnosis = api.diagnose(bug, report=report, vm_count=args.vms,
+        diagnosis = api.diagnose(bug, report=report,
                                  snapshots=not args.no_snapshot,
                                  policy=args.policy, tracer=tracer)
     finally:
@@ -360,9 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "engine (snapshot/resume); "
                                "results are bit-identical, only snapshot.* "
                                "accounting differs")
-    diagnose.add_argument("--vms", type=int, default=DEFAULT_VM_COUNT,
-                          help="VM count for the parallel-time estimate "
-                               f"(default {DEFAULT_VM_COUNT})")
     diagnose.set_defaults(func=_cmd_diagnose)
 
     rep = sub.add_parser("replay",

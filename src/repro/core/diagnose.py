@@ -38,12 +38,6 @@ from repro.core.lifs import (
 from repro.observe.tracer import as_tracer
 from repro.policy import ExperienceIndex
 
-#: VMs the paper's manager runs side by side (32 in its evaluation,
-#: section 4.5).  A diagnosis records the count; the idealized parallel
-#: wall time across them is :meth:`StageCost.parallel_seconds`.
-DEFAULT_VM_COUNT = 32
-
-
 @dataclass
 class Diagnosis:
     """The complete output for one bug."""
@@ -60,7 +54,6 @@ class Diagnosis:
     rejected_slice_schedules: int = 0
     lifs_cost: Optional[StageCost] = None
     ca_cost: Optional[StageCost] = None
-    vm_count: int = DEFAULT_VM_COUNT
 
     @property
     def interleaving_count(self) -> int:
@@ -117,7 +110,6 @@ class Aitia:
         lifs_config: Optional[LifsConfig] = None,
         ca_config: Optional[CaConfig] = None,
         cost_model: Optional[CostModel] = None,
-        vm_count: int = DEFAULT_VM_COUNT,
         tracer=None,
         experience: Optional[ExperienceIndex] = None,
     ) -> None:
@@ -126,7 +118,6 @@ class Aitia:
         self.lifs_config = lifs_config
         self.ca_config = ca_config
         self.cost_model = cost_model or CostModel()
-        self.vm_count = vm_count
         self.tracer = as_tracer(tracer)
         #: Cross-diagnosis experience index driving the adaptive search
         #: policy.  ``None`` means no priors and no learning; when given,
@@ -175,7 +166,7 @@ class Aitia:
         if not lifs_result.reproduced:
             return Diagnosis(bug_id=self.workload.bug_id, reproduced=False,
                              chain=None, lifs_result=lifs_result,
-                             ca_result=None, vm_count=self.vm_count)
+                             ca_result=None)
         return self._run_ca(factory, lifs_result, slice_used=None,
                             slices_tried=0)
 
@@ -210,7 +201,7 @@ class Aitia:
             rejected_schedules += lifs_result.stats.schedules_executed
         return Diagnosis(bug_id=self.workload.bug_id, reproduced=False,
                          chain=None, lifs_result=last_result, ca_result=None,
-                         slices_tried=tried, vm_count=self.vm_count,
+                         slices_tried=tried,
                          rejected_slice_schedules=rejected_schedules)
 
     def _run_ca(self, factory: Callable, lifs_result: LifsResult,
@@ -220,10 +211,7 @@ class Aitia:
                                config=self.ca_config, tracer=self.tracer,
                                experience=self.experience)
         ca_result = ca.analyze()
-        lifs_cost = self.cost_model.stage_cost(
-            schedules=lifs_result.stats.schedules_executed,
-            total_steps=lifs_result.stats.total_steps,
-            crashes=lifs_result.stats.failing_runs)
+        lifs_cost = lifs_result.stats.stage_cost(self.cost_model)
         ca_cost = self.cost_model.stage_cost(
             schedules=ca_result.stats.schedules_executed,
             total_steps=ca_result.stats.total_steps,
@@ -232,5 +220,4 @@ class Aitia:
             bug_id=self.workload.bug_id, reproduced=True,
             chain=ca_result.chain, lifs_result=lifs_result,
             ca_result=ca_result, slice_used=slice_used,
-            slices_tried=slices_tried, lifs_cost=lifs_cost, ca_cost=ca_cost,
-            vm_count=self.vm_count)
+            slices_tried=slices_tried, lifs_cost=lifs_cost, ca_cost=ca_cost)

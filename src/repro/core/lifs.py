@@ -15,7 +15,13 @@ of *conflicting* instructions, fewest preemptions first:
    the target thread cannot conflict yields an equivalent trace, so those
    candidates are pruned without running (the grey branches of Figure 5).
 3. Runs whose Mazurkiewicz signature repeats an earlier run are recorded as
-   equivalent rather than explored further.
+   equivalent rather than explored further.  One family of equivalent
+   candidates is recognised before it runs: an extension that hands
+   control straight back to the thread its base's last preemption
+   parked, after an excursion independent of everything in between,
+   replays the base's parent run step for step, so it is skipped and
+   charged as that run (:meth:`LeastInterleavingFirstSearch._replay_bound`).
+   The signature check stays as the safety net for the rest.
 
 New instructions executed because of race-steered control flows enter the
 knowledge base as soon as a run reveals them, extending the candidate set
@@ -34,20 +40,33 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List,
+                    NamedTuple, Optional, Sequence, Set, Tuple)
 
 from repro.core.races import RaceSet, find_data_races
 from repro.core.schedule import Preemption, Schedule
 from repro.hypervisor.controller import RunResult, ScheduleController
 from repro.hypervisor.snapshot import RunCheckpoint
+from repro.kernel.access import MemoryAccess
 from repro.kernel.failures import Failure, FailureKind
-from repro.kernel.machine import KernelMachine
+from repro.kernel.instructions import Op
+from repro.kernel.machine import KernelMachine, TraceEntry
+from repro.kernel.program import KernelImage
 from repro.observe.tracer import as_tracer
 
 from repro.engine import (LIFS_COUNTER_NAMES, RunPlan, RunRequest,
                           ScheduleExecutionEngine)
 from repro.policy import (CandidateMeta, PolicyContext,
                           lifs_candidate_features)
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.analysis.metrics import CostModel, StageCost
+
+#: Instructions an excursion skipped by the replay rule may not contain:
+#: their effects (heap layout, lock state, the thread roster) are not
+#: captured by data addresses alone.
+_DEPENDENT_OPS = frozenset({Op.ALLOC, Op.FREE, Op.LOCK, Op.UNLOCK,
+                            Op.QUEUE_WORK, Op.CALL_RCU})
 
 
 @dataclass(frozen=True)
@@ -115,9 +134,15 @@ class SearchStats:
     equivalent_runs: int = 0
     total_steps: int = 0
     failing_runs: int = 0
+    #: Equivalent candidates skipped before they ran (a subset of
+    #: ``equivalent_runs``; not in ``schedules_executed`` or
+    #: ``total_steps``) and the steps of the runs they replay.
+    equivalent_skipped: int = 0
+    skipped_steps: int = 0
     per_round_executed: Dict[int, int] = field(default_factory=dict)
     per_round_pruned: Dict[int, int] = field(default_factory=dict)
     per_round_equivalent: Dict[int, int] = field(default_factory=dict)
+    per_round_skipped: Dict[int, int] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
     #: Schedules resumed from a checkpoint / booted fresh; their sum always
     #: equals ``schedules_executed``.
@@ -133,6 +158,14 @@ class SearchStats:
     #: boots).  With snapshots off this equals total_steps + setup per run;
     #: ``total_steps`` itself keeps whole-run semantics either way.
     interpreted_steps: int = 0
+
+    def stage_cost(self, model: "CostModel") -> "StageCost":
+        """The simulated LIFS stage cost: every schedule the search
+        decided, skipped ones charged as the runs they replay."""
+        return model.stage_cost(
+            schedules=self.schedules_executed + self.equivalent_skipped,
+            total_steps=self.total_steps + self.skipped_steps,
+            crashes=self.failing_runs)
 
 
 @dataclass(frozen=True)
@@ -189,6 +222,27 @@ class LifsResult:
         return self.failure_run.schedule if self.failure_run else None
 
 
+def _after(trace: Sequence[TraceEntry], seq: int) -> int:
+    """Index of the first entry of ``trace`` past ``seq``.  A run's trace
+    seqs are consecutive: each executed instruction takes the next."""
+    return max(0, seq - trace[0].seq + 1) if trace else 0
+
+
+class _ParentReplay(NamedTuple):
+    """What extending a run needs of its parent run P to recognise the
+    extensions that replay P before they run (see
+    :meth:`LeastInterleavingFirstSearch._replay_bound`)."""
+
+    #: The run's last preemption p1 = (T at x -> U) and the seq it fired at.
+    preemption: Preemption
+    fired_seq: int
+    #: Data addresses P accessed after ``fired_seq`` and before U's first
+    #: entry there.
+    window: FrozenSet[int]
+    #: P's steps, which a skipped replay is charged.
+    parent_steps: int
+
+
 class _Knowledge:
     """What LIFS has learned from executed runs: who accesses which data
     address and how, plus which threads spawn which background threads."""
@@ -228,6 +282,11 @@ class _Knowledge:
             if thread in family and (is_write or accessor_is_write):
                 return True
         return False
+
+
+#: A frontier run, the checkpoints valid for extending it, and the run it
+#: extended (``None`` for serial runs).
+_FrontierEntry = Tuple[RunResult, List[RunCheckpoint], Optional[RunResult]]
 
 
 class LeastInterleavingFirstSearch:
@@ -295,10 +354,12 @@ class LeastInterleavingFirstSearch:
                 "lifs.depth", stage="lifs", depth=depth,
                 executed=stats.per_round_executed.get(depth, 0),
                 pruned=stats.per_round_pruned.get(depth, 0),
-                equivalent=stats.per_round_equivalent.get(depth, 0))
+                equivalent=stats.per_round_equivalent.get(depth, 0),
+                skipped=stats.per_round_skipped.get(depth, 0))
         self.tracer.count("lifs.schedules", stats.schedules_executed)
         self.tracer.count("lifs.pruned", stats.candidates_pruned)
         self.tracer.count("lifs.equivalent", stats.equivalent_runs)
+        self.tracer.count("lifs.skipped", stats.equivalent_skipped)
         self.tracer.count("lifs.failing_runs", stats.failing_runs)
         self.tracer.count("lifs.searches")
         self.engine.emit_counters(LIFS_COUNTER_NAMES)
@@ -306,13 +367,15 @@ class LeastInterleavingFirstSearch:
                  schedules=stats.schedules_executed,
                  pruned=stats.candidates_pruned,
                  equivalent=stats.equivalent_runs,
+                 skipped=stats.equivalent_skipped,
                  interleavings=result.interleaving_count,
                  races=len(result.races))
 
     def _search(self) -> LifsResult:
         # Frontier entries carry the checkpoints valid for extending the
-        # run: the base's shared-prefix checkpoints plus the run's own.
-        frontier: List[Tuple[RunResult, List[RunCheckpoint]]] = []
+        # run (the base's shared-prefix checkpoints plus the run's own)
+        # and the run's parent, for the replay rule.
+        frontier: List[_FrontierEntry] = []
 
         # Interleaving count 0: serial executions in every thread order.
         for order in itertools.permutations(self.initial_threads):
@@ -325,7 +388,7 @@ class LeastInterleavingFirstSearch:
             if self.target.matches(run.failure):
                 return self._success(run)
             if not run.failed and not duplicate:
-                frontier.append((run, checkpoints))
+                frontier.append((run, checkpoints, None))
 
         extend = (self._extend_round_ranked
                   if self.engine.search_policy.reorders
@@ -348,11 +411,16 @@ class LeastInterleavingFirstSearch:
         siblings execute, so each sees the conflict knowledge its
         predecessors just grew: the exact pre-policy semantics, bit for
         bit."""
-        next_frontier: List[Tuple[RunResult, List[RunCheckpoint]]] = []
-        for base, base_ckpts in frontier:
+        next_frontier: List[_FrontierEntry] = []
+        for base, base_ckpts, parent in frontier:
+            replay = self._parent_replay(parent, base)
             base_ckpts = list(base_ckpts)
             horizons = [c.horizon_seq for c in base_ckpts]
-            for schedule, div_seq in self._extensions(base):
+            for schedule, div_seq, replays in self._extensions(base, replay):
+                if replays:
+                    if not self._skip(schedule, replay, round_index):
+                        return self._give_up(), []
+                    continue
                 # Latest checkpoint strictly before the divergence
                 # point: base and extension behave identically up to
                 # there, and the preempted occurrence must not have
@@ -372,7 +440,7 @@ class LeastInterleavingFirstSearch:
                 keep = not duplicate or not self.config.equivalence_dedup
                 if not run.failed and keep:
                     next_frontier.append((run, self._child_checkpoints(
-                        schedule, run, base_ckpts, checkpoints)))
+                        schedule, run, base_ckpts, checkpoints), base))
         return None, next_frontier
 
     def _extend_round_ranked(
@@ -395,16 +463,23 @@ class LeastInterleavingFirstSearch:
         # Per-base mutable checkpoint pools, shared across fixed-point
         # iterations so harvested captures keep densifying the prefix.
         pools = []
-        for base, base_ckpts in frontier:
+        for base, base_ckpts, parent in frontier:
             pool = list(base_ckpts)
-            pools.append((base, pool, [c.horizon_seq for c in pool]))
-        next_frontier: List[Tuple[RunResult, List[RunCheckpoint]]] = []
+            pools.append((base, pool, [c.horizon_seq for c in pool],
+                          self._parent_replay(parent, base)))
+        next_frontier: List[_FrontierEntry] = []
         while True:
             requests: List[RunRequest] = []
-            for base_index, (base, _, _) in enumerate(pools):
+            # Replaying candidates stay in the plan, so the policy ranks
+            # the same batch; they are skipped where they would run.
+            replaying: Set[int] = set()
+            for base_index, (base, _, _, replay) in enumerate(pools):
                 access_by_seq = {a.seq: a for a in base.accesses}
                 kinds = base.thread_kinds
-                for schedule, div_seq in self._extensions(base):
+                for schedule, div_seq, replays in self._extensions(base,
+                                                                   replay):
+                    if replays:
+                        replaying.add(len(requests))
                     preemption = schedule.preemptions[-1]
                     access = access_by_seq.get(div_seq)
                     requests.append(RunRequest(
@@ -426,7 +501,11 @@ class LeastInterleavingFirstSearch:
                 PolicyContext(phase="lifs.extend", depth=round_index))
             for request in shaped.requests:
                 meta = request.meta
-                _base, pool, horizons = pools[meta.base_index]
+                base, pool, horizons, replay = pools[meta.base_index]
+                if meta.index in replaying:
+                    if not self._skip(request.schedule, replay, round_index):
+                        return self._give_up(), []
+                    continue
                 i = bisect.bisect_left(horizons, meta.div_seq)
                 resume = pool[i - 1] if i else None
                 run, duplicate, checkpoints = self._execute(
@@ -439,7 +518,7 @@ class LeastInterleavingFirstSearch:
                 keep = not duplicate or not self.config.equivalence_dedup
                 if not run.failed and keep:
                     next_frontier.append((run, self._child_checkpoints(
-                        request.schedule, run, pool, checkpoints)))
+                        request.schedule, run, pool, checkpoints), base))
 
     def _harvest(self, schedule: Schedule,
                  checkpoints: Sequence[RunCheckpoint],
@@ -501,7 +580,7 @@ class LeastInterleavingFirstSearch:
         """Run one schedule through the engine.  Returns
         ``(run, is_equivalent, checkpoints)``; ``run`` is ``None`` when
         the schedule budget is exhausted."""
-        if self.stats.schedules_executed >= self.config.max_schedules:
+        if self._out_of_budget():
             return None, False, []
         outcome = self.engine.run(RunRequest(
             schedule=schedule, resume_from=resume_from,
@@ -538,20 +617,167 @@ class LeastInterleavingFirstSearch:
                 interleavings=run.interleavings))
         return duplicate
 
+    def _out_of_budget(self) -> bool:
+        """Skipped schedules count against ``max_schedules`` like executed
+        ones, so a search stops at the same candidate either way."""
+        stats = self.stats
+        return (stats.schedules_executed + stats.equivalent_skipped
+                >= self.config.max_schedules)
+
+    def _skip(self, schedule: Schedule, replay: _ParentReplay,
+              round_index: int) -> bool:
+        """Account a candidate that replays its base's parent run, without
+        running it: an equivalent run with the parent's steps and no
+        failure, retained as a summary like an executed run.  It is not
+        absorbed or extended (its accesses are the parent's).  Returns
+        ``False`` when the schedule budget is exhausted."""
+        if self._out_of_budget():
+            return False
+        stats = self.stats
+        stats.equivalent_skipped += 1
+        stats.skipped_steps += replay.parent_steps
+        stats.equivalent_runs += 1
+        for per_round in (stats.per_round_equivalent, stats.per_round_skipped):
+            per_round[round_index] = per_round.get(round_index, 0) + 1
+        if len(self._run_summaries) < self.config.keep_runs:
+            self._run_summaries.append(RunSummary(
+                schedule=schedule, failure=None, steps=replay.parent_steps,
+                interleavings=len(schedule.preemptions)))
+        return True
+
     def _replay(self, schedule: Schedule) -> RunResult:
         """Deterministically rematerialize a retained run (fresh boot, no
         tracer — accounting already happened during the search)."""
         return ScheduleController(self.machine_factory(), schedule).run()
 
-    def _extensions(self, base: RunResult):
-        """Candidate ``(schedule, divergence_seq)`` pairs extending ``base``
-        with one more preemption, front-to-back after the base's last fired
-        preemption.
+    @cached_property
+    def _image(self) -> KernelImage:
+        """The kernel image, for opcode lookups: the engine's vehicle's,
+        or one booted machine's when snapshots are off."""
+        vehicle = self.engine.vehicle
+        if vehicle is None:
+            vehicle = self.machine_factory()
+        return vehicle.image
+
+    def _parent_replay(self, parent: Optional[RunResult],
+                       run: RunResult) -> Optional[_ParentReplay]:
+        """What :meth:`_replay_bound` needs of ``run``'s parent run P,
+        computed once, when ``run`` is extended (most frontier runs of
+        the last round never are); ``None`` when no extension of ``run``
+        can replay P, when ``run`` is serial, and always when
+        equivalence dedup is off: that ablation runs every duplicate.
+
+        With p1 = (T at x -> U) ``run``'s last preemption, fired at f1,
+        and g U's first entry in P after f1, an extension can replay P
+        only when every preemption of ``run`` fired, in order; no thread
+        but U sat parked on P's trampoline at f1; and every entry of P
+        from g on belongs to U or to a thread spawned at or after g.
+        The window is the set of data addresses P accessed between f1
+        and g."""
+        if parent is None or not self.config.equivalence_dedup:
+            return None
+        preemptions = run.schedule.preemptions
+        if not preemptions or run.fired_preemptions != preemptions:
+            return None
+        p1, f1 = preemptions[-1], run.fired_seqs[-1]
+        trace = parent.trace
+        start = _after(trace, f1)
+        # Replay the trampoline's bookkeeping up to f1: a fire parks its
+        # thread and releases its target; a parked thread that executed
+        # since was resumed.
+        parked: Dict[str, int] = {}
+        for p, seq in zip(run.fired_preemptions[:-1], run.fired_seqs[:-1]):
+            parked.pop(p.switch_to, None)
+            parked[p.thread] = seq
+        for thread, seq in parked.items():
+            since = trace[_after(trace, seq):start]
+            if thread != p1.switch_to and all(e.thread != thread
+                                              for e in since):
+                return None
+        spawned = {e.child: e.seq for e in parent.spawn_events}
+        g = None
+        for entry in trace[start:]:
+            if g is None:
+                if entry.thread == p1.switch_to:
+                    g = entry.seq
+            elif entry.thread != p1.switch_to and \
+                    spawned.get(entry.thread, 0) < g:
+                return None
+        if g is None:
+            return None
+        window = frozenset(a.data_addr for a in parent.accesses
+                           if f1 < a.seq < g)
+        return _ParentReplay(p1, f1, window, parent.steps)
+
+    def _replay_bound(self, base: RunResult, replay: _ParentReplay,
+                      accesses_by_seq: Dict[int, MemoryAccess]) -> int:
+        """Up to which divergence seq an extension of ``base`` that undoes
+        its last preemption replays ``base``'s parent run P, so that it
+        can be skipped instead of run.
+
+        Let p1 = (T at x -> U) be ``base``'s last preemption, fired at f1,
+        and C = ``base`` plus p2 = (U at the entry ``div_seq`` -> T).  C
+        has P's signature, steps and outcome when:
+
+        1. p2 hands control straight back to the thread p1 parked (the
+           caller checks this);
+        2. the excursion E, ``base``'s entries with f1 < seq < ``div_seq``,
+           is all U's and holds no ALLOC, FREE, LOCK, UNLOCK, QUEUE_WORK or
+           CALL_RCU;
+        3. with g U's first entry in P after f1, every entry of P from g
+           on belongs to U or to a thread spawned at or after g, and at f1
+           no thread but U was parked on P's trampoline
+           (:meth:`_parent_replay`);
+        4. no access of P between f1 and g, read or written, touches a
+           data address E accessed (the signature records reads too).
+
+        Why C then equals P.  Up to ``div_seq``, C is ``base``.  p2 parks
+        U on top of the trampoline's LIFO stack and resumes T, so C's
+        controller state is P's at f1 — T active, no preemption pending,
+        the stack empty or just U — with U parked on top.  P's events in
+        (f1, g) run unchanged in C: E touched none of their addresses and
+        took no lock, allocation or spawn.  ``ScheduleController._choose``
+        also makes the same choices.  In P, U stays runnable and is never
+        chosen before g.  If U is not parked in P, step 3 (first runnable
+        thread) always finds a thread ahead of it, so step 4 never runs
+        and hiding U changes no choice; if it is, the stacks are equal.
+        At g, by (3), no other thread can run: P picks U as first
+        runnable or as most recently preempted, and C picks U as most
+        recently preempted.  P then runs E uninterrupted, on the values E
+        read in ``base`` by (4), and from there both runs are in the same
+        configuration.  Without the parked-thread half of (3), a thread
+        stacked above U in P would resume before U there but after U in
+        C.
+
+        Returns the first seq past f1 whose entry breaks (2) or (4): an
+        undoing extension replays P iff its ``div_seq`` is at most that,
+        since the entry at ``div_seq`` is not part of E.
+        """
+        u = replay.preemption.switch_to
+        window = replay.window
+        instruction_at = self._image.instruction_at
+        trace = base.trace
+        for entry in trace[_after(trace, replay.fired_seq):]:
+            access = accesses_by_seq.get(entry.seq)
+            if entry.thread != u or \
+                    instruction_at(entry.instr_addr).op in _DEPENDENT_OPS or \
+                    (access is not None and access.data_addr in window):
+                return entry.seq
+        return trace[-1].seq + 1 if trace else 0
+
+    def _extensions(self, base: RunResult,
+                    replay: Optional[_ParentReplay]):
+        """Candidate ``(schedule, divergence_seq, replays_parent)`` triples
+        extending ``base`` with one more preemption, front-to-back after
+        the base's last fired preemption.
 
         ``divergence_seq`` is the new preemption's trace-entry seq: base and
         extension behave identically up to (but excluding) that entry, so
         the caller may resume the extension from any checkpoint whose
-        horizon is strictly before it.
+        horizon is strictly before it.  ``replays_parent`` marks a
+        candidate that undoes the base's last preemption and provably
+        replays the base's parent run (:meth:`_replay_bound`): the caller
+        skips it instead of running it.
         """
         seen = self._tried_schedules
         # Front-to-back: new preemptions only after the point where the
@@ -565,6 +791,10 @@ class LeastInterleavingFirstSearch:
         remaining_after: Dict[str, int] = {}
         for entry in base.trace:
             remaining_after[entry.thread] = entry.seq
+        bound, back = 0, None
+        if replay is not None:
+            bound = self._replay_bound(base, replay, accesses_by_seq)
+            back = (replay.preemption.switch_to, replay.preemption.thread)
 
         for entry in base.trace:
             if entry.seq <= last_seq:
@@ -601,7 +831,8 @@ class LeastInterleavingFirstSearch:
                 if key in seen:
                     continue
                 seen.add(key)
-                yield schedule, entry.seq
+                yield schedule, entry.seq, (
+                    entry.seq <= bound and (entry.thread, target) == back)
 
     # ------------------------------------------------------------------
     def _success(self, run: RunResult) -> LifsResult:

@@ -367,7 +367,11 @@ class TriageDaemon:
 
     def _finish(self, job: TriageJob) -> None:
         """Settle one terminal job (runs in the executor thread for
-        pool jobs, the event loop for journal-replay cache hits)."""
+        pool jobs, the event loop for journal-replay cache hits).
+
+        The job leaves ``in_flight`` before its terminal counter moves,
+        so ``/metrics`` never counts a job as completed while it is
+        still in flight."""
         digest = job.payload.get("digest", "")
         if job.outcome is JobOutcome.SUCCEEDED:
             self.store.put(digest, job.result)
@@ -378,6 +382,10 @@ class TriageDaemon:
                 # live index for subsequent adaptive submissions.
                 self.store.put(RECORD_DIGEST_PREFIX + digest, record)
                 self.experience.absorb_record(record)
+        self.queue.mark_done(job)
+        self.tenants.note_done(job.payload.get("tenant", DEFAULT_TENANT))
+        self._running -= 1
+        if job.outcome is JobOutcome.SUCCEEDED:
             self.metrics.incr("completed")
             self.metrics.observe_latency("diagnosis_seconds", job.seconds)
         elif job.outcome is JobOutcome.CACHE_HIT:
@@ -387,9 +395,6 @@ class TriageDaemon:
             self.metrics.incr("timed_out")
         else:
             self.metrics.incr("failed")
-        self.queue.mark_done(job)
-        self.tenants.note_done(job.payload.get("tenant", DEFAULT_TENANT))
-        self._running -= 1
         self._settled.add(job.job_id)
 
     # -- metrics --------------------------------------------------------

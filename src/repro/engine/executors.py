@@ -124,7 +124,7 @@ class JobExecutor:
                     # Deterministic simulator: a job that blew its
                     # deadline once will blow it again — never retried.
                     job.outcome = JobOutcome.TIMED_OUT
-                    job.error = f"exceeded {job.timeout_s:.1f}s timeout"
+                    job.error = f"exceeded {job.timeout_s:g}s timeout"
                 else:  # lost — worker died without posting a result
                     self._lost(job, event.body, pending, on_complete)
                     continue

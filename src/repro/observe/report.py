@@ -2,7 +2,8 @@
 
 Reads the JSONL event stream a traced run wrote (:class:`JsonlSink`) and
 renders the per-stage summary: span counts and durations per pipeline
-stage, the LIFS per-depth schedule/prune/equivalence breakdown, the
+stage, the LIFS per-depth schedule/prune/equivalence breakdown (with the
+equivalent schedules skipped before they ran), the
 Causality Analysis flip ledger, and the aggregated counter totals.
 Counters from several ``counters`` events (e.g. a merged multi-run
 trace file) are summed.
@@ -60,7 +61,8 @@ def summarize(events: Sequence[TraceEvent]) -> dict:
         if event.name == "lifs.depth":
             depth = int(event.attrs.get("depth", 0))
             bucket = depths.setdefault(
-                depth, {"executed": 0, "pruned": 0, "equivalent": 0})
+                depth, {"executed": 0, "pruned": 0, "equivalent": 0,
+                        "skipped": 0})
             for key in bucket:
                 bucket[key] += int(event.attrs.get(key, 0))
 
@@ -131,11 +133,12 @@ def render_trace_report(
 
     if summary["lifs_depths"]:
         table = Table("LIFS per interleaving depth",
-                      ["depth", "executed", "pruned", "equivalent"])
+                      ["depth", "executed", "pruned", "equivalent",
+                       "skipped"])
         for depth in sorted(summary["lifs_depths"]):
             bucket = summary["lifs_depths"][depth]
             table.add_row(depth, bucket["executed"], bucket["pruned"],
-                          bucket["equivalent"])
+                          bucket["equivalent"], bucket["skipped"])
         lines += ["", table.render()]
 
     counters = summary["counters"]

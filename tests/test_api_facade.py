@@ -161,6 +161,20 @@ class TestRemovedIn3:
             from repro.kernel.snapshot import dumps_state  # noqa: F401
 
 
+class TestVmCountRemoved:
+    """The VM count reached no output, so no door takes it."""
+
+    def test_vms_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["diagnose", "SYZ-05", "--vms", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_api_rejects_vm_count(self):
+        with pytest.raises(TypeError):
+            api.diagnose("SYZ-05", vm_count=4)
+
+
 class TestUnifiedCliFlags:
     def test_canonical_flags_parse_everywhere(self):
         parser = build_parser()

@@ -118,6 +118,37 @@ class TestSubmitPath:
 
         daemon_test(tmp_path, scenario)
 
+    def test_job_leaves_in_flight_before_it_counts(self, tmp_path):
+        # /metrics reads in_flight and completed_total independently;
+        # a job must be settled before its completion is counted, or a
+        # scrape can see completed_total == N with in_flight still 1.
+        in_flight_at_count = []
+
+        async def scenario(daemon, client):
+            incr = daemon.metrics.incr
+
+            def recording(name, n=1):
+                if name == "completed":
+                    in_flight_at_count.append(daemon.in_flight)
+                incr(name, n)
+
+            daemon.metrics.incr = recording
+            jobs = []
+            for bug in ("SYZ-01", "SYZ-04"):
+                response = await client.submit(artifact_text(bug))
+                assert response.status == 202
+                jobs.append(response.json()["job_id"])
+            for job_id in jobs:
+                await client.wait_for_job(job_id)
+            metrics = await scrape(client)
+            assert metrics["aitia_daemon_completed_total"] == 2
+            assert metrics["aitia_daemon_in_flight"] == 0
+            assert_reconciled(metrics)
+
+        daemon_test(tmp_path, scenario)
+        assert len(in_flight_at_count) == 2
+        assert in_flight_at_count[-1] == 0
+
     def test_duplicate_folds_into_queued_job(self, tmp_path):
         async def scenario(daemon, client):
             text = artifact_text("SYZ-02")

@@ -4,7 +4,8 @@
   only) and just before each preemption fires, nothing else: those are
   the only points a later extension resumes from.
 * **Hash-keyed equivalence** — LIFS dedups runs on the in-process
-  ``hash`` of their Mazurkiewicz signature; it must find exactly the
+  ``hash`` of their Mazurkiewicz signature; together with the
+  candidates it skips before they run, it must find exactly the
   equivalences the stable digest found.
 * **Resumed runs** — every run of a whole diagnosis that resumed on
   the engine's vehicle machine equals a fresh run of the same schedule,
@@ -107,14 +108,17 @@ class TestCapturePlacement:
 # Hash-keyed equivalence
 # ----------------------------------------------------------------------
 #: LIFS accounting per bug, recorded when the search still deduplicated
-#: on ``RunResult.signature_hash()``.
+#: on ``RunResult.signature_hash()`` and ran every candidate: schedules
+#: decided (executed plus skipped), equivalent runs per round, steps of
+#: every decided schedule (skipped ones at the runs they replay) — plus
+#: how many of those schedules are skipped before they run.
 DEDUP_PINS = {
-    "SYZ-06": (845, 462, {0: 4, 1: 3, 2: 455}, 38192),
-    "SYZ-02": (734, 355, {0: 4, 1: 2, 2: 349}, 44039),
-    "SYZ-08": (549, 306, {0: 4, 1: 3, 2: 299}, 20450),
-    "CVE-2017-15649": (425, 240, {0: 4, 1: 3, 2: 233}, 15099),
+    "SYZ-06": (845, 462, {0: 4, 1: 3, 2: 455}, 38192, 416),
+    "SYZ-02": (734, 355, {0: 4, 1: 2, 2: 349}, 44039, 349),
+    "SYZ-08": (549, 306, {0: 4, 1: 3, 2: 299}, 20450, 268),
+    "CVE-2017-15649": (425, 240, {0: 4, 1: 3, 2: 233}, 15099, 206),
     # Symmetric bug: mirror witnesses share signatures.
-    "SYZ-09": (18, 5, {0: 4, 1: 1}, 559),
+    "SYZ-09": (18, 5, {0: 4, 1: 1}, 559, 0),
 }
 
 
@@ -133,17 +137,19 @@ class TestHashKeyedDedup:
         monkeypatch.setattr(LeastInterleavingFirstSearch, "_account_run",
                             recording)
         stats = api.diagnose(bug_id).lifs_result.stats
-        assert (stats.schedules_executed, stats.equivalent_runs,
-                stats.per_round_equivalent, stats.total_steps) \
-            == DEDUP_PINS[bug_id]
-        # hash(signature()) partitions the runs exactly as the digest
-        # (and the signature itself) does.
+        assert (stats.schedules_executed + stats.equivalent_skipped,
+                stats.equivalent_runs, stats.per_round_equivalent,
+                stats.total_steps + stats.skipped_steps,
+                stats.equivalent_skipped) == DEDUP_PINS[bug_id]
+        # hash(signature()) partitions the executed runs exactly as the
+        # digest (and the signature itself) does.
         assert len(keys) == stats.schedules_executed
         classes = len({signature for signature, _, _ in keys})
         assert len({h for _, h, _ in keys}) == classes
         assert len({d for _, _, d in keys}) == classes
         assert len(set(keys)) == classes
-        assert stats.schedules_executed - classes == stats.equivalent_runs
+        assert stats.schedules_executed - classes \
+            == stats.equivalent_runs - stats.equivalent_skipped
 
 
 # ----------------------------------------------------------------------

@@ -171,12 +171,18 @@ class TestTracedDiagnosis:
                 == diagnosis.lifs_result.stats.candidates_pruned)
         assert (counters["lifs.equivalent"]
                 == diagnosis.lifs_result.stats.equivalent_runs)
+        assert (counters["lifs.skipped"]
+                == diagnosis.lifs_result.stats.equivalent_skipped)
 
     def test_depth_points_sum_to_schedule_total(self):
         diagnosis, sink = _traced_diagnosis("CVE-2017-15649")
-        executed = sum(e.attrs["executed"]
-                       for e in sink.points(name="lifs.depth"))
+        points = sink.points(name="lifs.depth")
+        executed = sum(e.attrs["executed"] for e in points)
         assert executed == diagnosis.total_lifs_schedules
+        skipped = sum(e.attrs["skipped"] for e in points)
+        assert skipped == diagnosis.lifs_result.stats.equivalent_skipped > 0
+        assert all(e.attrs["skipped"] <= e.attrs["equivalent"]
+                   for e in points)
 
     def test_flip_spans_match_ca_schedule_count(self):
         diagnosis, sink = _traced_diagnosis("CVE-2017-15649")
@@ -195,6 +201,7 @@ class TestTraceReport:
         text = render_trace_report(path)
         assert "per-stage summary" in text
         assert "LIFS per interleaving depth" in text
+        assert "skipped" in text
         assert "CA flips:" in text
         assert "lifs.schedules" in text
 

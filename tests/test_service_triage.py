@@ -231,6 +231,8 @@ class TestCliTriage:
         assert main(argv) == 1  # not ok, but a clean summary
         out = capsys.readouterr().out
         assert "timed_out" in out and "totals:" in out
+        # The row names the limit as given, not rounded to 0.0s.
+        assert "exceeded 1e-06s timeout" in out
 
     def test_evaluate_jobs_flag(self, capsys):
         assert main(["evaluate", "SYZ-05", "--jobs", "2"]) == 0
