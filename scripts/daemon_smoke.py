@@ -4,8 +4,10 @@ Starts the daemon as a subprocess on an ephemeral port, submits three
 corpus ``.crash`` artifacts (two unique, one duplicate of the first
 *after* it completed), polls each to completion, asserts exactly one
 cache hit through ``GET /metrics``, and shuts the daemon down cleanly
-with SIGTERM.  Exits non-zero on any failed expectation, so a CI step
-is just::
+with SIGTERM.  It then restarts the daemon on the same data directory
+and asserts that nothing is recovered, that the second artifact is
+answered from the cold tier, and that the store is one file.  Exits
+non-zero on any failed expectation, so a CI step is just::
 
     PYTHONPATH=src python scripts/daemon_smoke.py
 
@@ -56,6 +58,38 @@ def wait_for_job(port, job_id, timeout_s=120):
     raise AssertionError(f"job {job_id} never completed")
 
 
+def start_daemon(env, workdir):
+    """Start ``repro serve`` on an ephemeral port; return it and the port."""
+    port_file = os.path.join(workdir, "port")
+    if os.path.exists(port_file):
+        os.unlink(port_file)
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--data-dir", os.path.join(workdir, "data"),
+         "--port-file", port_file], env=env)
+    deadline = time.monotonic() + 60
+    while not os.path.exists(port_file):
+        if daemon.poll() is not None or time.monotonic() > deadline:
+            stop(daemon)
+            raise AssertionError("daemon died during boot or wrote no "
+                                 "port file")
+        time.sleep(0.05)
+    with open(port_file) as fh:
+        return daemon, int(fh.read().strip().rsplit(":", 1)[1])
+
+
+def stop(daemon):
+    if daemon.poll() is None:
+        daemon.kill()
+        daemon.wait(timeout=30)
+
+
+def sigterm(daemon):
+    daemon.send_signal(signal.SIGTERM)
+    code = daemon.wait(timeout=60)
+    assert code == 0, f"daemon exited {code} on SIGTERM"
+
+
 def main() -> int:
     artifacts = [
         CrashArtifact.from_report(run_bug_finder(get_bug(b))).render()
@@ -64,18 +98,8 @@ def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     with tempfile.TemporaryDirectory() as workdir:
-        port_file = os.path.join(workdir, "port")
-        daemon = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--port", "0",
-             "--data-dir", os.path.join(workdir, "data"),
-             "--port-file", port_file], env=env)
+        daemon, port = start_daemon(env, workdir)
         try:
-            deadline = time.monotonic() + 60
-            while not os.path.exists(port_file):
-                assert daemon.poll() is None, "daemon died during boot"
-                assert time.monotonic() < deadline, "no port file"
-                time.sleep(0.05)
-            port = int(open(port_file).read().strip().rsplit(":", 1)[1])
             print(f"smoke: daemon up on port {port}")
 
             # Submit the two unique artifacts and wait them out.
@@ -110,15 +134,35 @@ def main() -> int:
             print("smoke: metrics reconcile "
                   "(3 submissions = 2 accepted + 1 cache hit)")
         except BaseException:
-            if daemon.poll() is None:
-                daemon.kill()
-                daemon.wait(timeout=30)
+            stop(daemon)
             raise
-
-        daemon.send_signal(signal.SIGTERM)
-        code = daemon.wait(timeout=60)
-        assert code == 0, f"daemon exited {code} on SIGTERM"
+        sigterm(daemon)
         print("smoke: clean shutdown")
+
+        # Restart on the same data directory: nothing is owed, and the
+        # second artifact answers from the one cold store file.
+        daemon, port = start_daemon(env, workdir)
+        try:
+            status, body = request(port, "POST", "/submit",
+                                   artifacts[1].encode())
+            payload = json.loads(body)
+            assert status == 200 and payload["status"] == "cache_hit", (
+                status, payload)
+            assert payload["tier"] == "cold", payload
+            status, body = request(port, "GET", "/metrics")
+            assert status == 200
+            metrics = parse_exposition(body.decode())
+            assert metrics.get("aitia_daemon_recovered_total", 0) == 0, (
+                metrics)
+            store = os.listdir(os.path.join(workdir, "data", "store"))
+            assert len(store) == 1, store
+            print(f"smoke: restarted daemon answered {BUGS[1]} from the "
+                  f"cold tier ({store[0]})")
+        except BaseException:
+            stop(daemon)
+            raise
+        sigterm(daemon)
+        print("smoke: clean shutdown after restart")
     return 0
 
 

@@ -238,18 +238,12 @@ def _cmd_triage(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.daemon.lifecycle import DaemonConfig, run_daemon
-    from repro.daemon.tenants import TenantPolicy
 
     config = DaemonConfig(
         host=args.host, port=args.port, data_dir=args.data_dir,
         jobs=args.jobs, timeout_s=args.timeout, policy=args.policy,
-        hot_capacity=args.hot_capacity, max_depth=args.max_depth,
-        store_shards=args.store_shards, queue_shards=args.queue_shards,
-        batch_size=args.batch_size,
-        tenant_policy=TenantPolicy(rate=args.rate, burst=args.burst,
-                                   max_queued=args.tenant_max_queued),
-        paused=args.paused, diagnoser=args.diagnoser,
-        port_file=args.port_file)
+        max_depth=args.max_depth, paused=args.paused,
+        diagnoser=args.diagnoser, port_file=args.port_file)
     if args.trace:
         from repro.observe import JsonlSink, Tracer
         config.tracer = Tracer(JsonlSink(args.trace))
@@ -414,30 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080,
                        help="TCP port (0: ephemeral; see --port-file)")
     serve.add_argument("--data-dir", default="daemon-data", metavar="DIR",
-                       help="queue journal + cold store shards live here "
+                       help="queue journal + result store live here "
                             "(default ./daemon-data)")
-    serve.add_argument("--hot-capacity", type=int, default=1024,
-                       metavar="N",
-                       help="hot-tier LRU capacity in records "
-                            "(default 1024)")
-    serve.add_argument("--store-shards", type=int, default=8, metavar="N",
-                       help="cold-tier JSONL shard count (default 8)")
-    serve.add_argument("--queue-shards", type=int, default=4, metavar="N",
-                       help="queue journal shard count (default 4)")
     serve.add_argument("--max-depth", type=int, default=256, metavar="N",
                        help="bounded queue depth; submissions past it "
                             "are shed with HTTP 429 (default 256)")
-    serve.add_argument("--batch-size", type=int, default=4, metavar="N",
-                       help="jobs per drain batch (default 4)")
-    serve.add_argument("--rate", type=float, default=0.0, metavar="R",
-                       help="per-tenant sustained submissions/second "
-                            "(default 0: unlimited)")
-    serve.add_argument("--burst", type=float, default=100.0, metavar="B",
-                       help="per-tenant burst capacity (default 100)")
-    serve.add_argument("--tenant-max-queued", type=int, default=None,
-                       metavar="N",
-                       help="per-tenant bound on queued+running jobs "
-                            "(default: unbounded)")
     serve.add_argument("--paused", action="store_true",
                        help="accept and journal submissions but do not "
                             "drain the queue (recovery testing)")

@@ -11,13 +11,12 @@ The layer sits *above* ``repro.service`` and reuses its vocabulary
 
 * :mod:`repro.daemon.protocol` — minimal HTTP/1.1 over asyncio
   streams (no third-party deps);
-* :mod:`repro.daemon.tiers` — hot in-memory LRU over cold sharded
-  JSONL result stores;
-* :mod:`repro.daemon.queue` — the persistent, sharded, bounded work
-  queue with its recovery journal;
-* :mod:`repro.daemon.tenants` — per-tenant token buckets and quotas;
-* :mod:`repro.daemon.server` — routing, dedup, admission, the drain
-  loop, and the ``/metrics`` exposition;
+* :mod:`repro.daemon.tiers` — hot in-memory LRU over one cold JSONL
+  result store;
+* :mod:`repro.daemon.queue` — the persistent, bounded work queue with
+  its one-file recovery journal;
+* :mod:`repro.daemon.server` — routing, dedup, queue-depth
+  backpressure, the drain loop, and the ``/metrics`` exposition;
 * :mod:`repro.daemon.lifecycle` — config, signals, the ``repro
   serve`` entrypoint;
 * :mod:`repro.daemon.worker` — the worker entry (real pipeline or the
@@ -25,16 +24,15 @@ The layer sits *above* ``repro.service`` and reuses its vocabulary
 * :mod:`repro.daemon.client` — the matching asyncio client the tests,
   load benchmark and CI smoke script submit through.
 
-See ``docs/SERVICE.md`` for the HTTP protocol, tenancy model, journal
-format and tier layout.
+See ``docs/SERVICE.md`` for the HTTP protocol, journal format and tier
+layout.
 """
 
 from repro.daemon.client import DaemonClient
 from repro.daemon.lifecycle import DaemonConfig, run_daemon, start_daemon
 from repro.daemon.queue import JournaledWorkQueue
 from repro.daemon.server import DaemonMetrics, TriageDaemon
-from repro.daemon.tenants import TenantPolicy, TenantTable, TokenBucket
-from repro.daemon.tiers import HotTier, ShardedColdStore, TieredStore
+from repro.daemon.tiers import HotTier, TieredStore
 from repro.daemon.worker import resolve_diagnoser, stub_diagnose_job
 
 __all__ = [
@@ -43,11 +41,7 @@ __all__ = [
     "DaemonMetrics",
     "HotTier",
     "JournaledWorkQueue",
-    "ShardedColdStore",
-    "TenantPolicy",
-    "TenantTable",
     "TieredStore",
-    "TokenBucket",
     "TriageDaemon",
     "resolve_diagnoser",
     "run_daemon",

@@ -88,12 +88,10 @@ class DaemonClient:
         return Response(status=status, headers=headers, body=body)
 
     # -- convenience ----------------------------------------------------
-    async def submit(self, artifact_text: str, tenant: str = "",
+    async def submit(self, artifact_text: str,
                      priority: Optional[int] = None) -> Response:
         """POST one rendered crash artifact to ``/submit``."""
         headers: Dict[str, str] = {}
-        if tenant:
-            headers["X-Tenant"] = tenant
         if priority is not None:
             headers["X-Priority"] = str(priority)
         return await self.request("POST", "/submit",

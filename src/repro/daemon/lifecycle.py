@@ -24,10 +24,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from repro.service.queue import RetryPolicy
-from repro.daemon.queue import DEFAULT_MAX_DEPTH, DEFAULT_QUEUE_SHARDS
+from repro.daemon.queue import DEFAULT_MAX_DEPTH
 from repro.daemon.server import TriageDaemon
-from repro.daemon.tenants import TenantPolicy
-from repro.daemon.tiers import DEFAULT_HOT_CAPACITY, DEFAULT_STORE_SHARDS
 from repro.daemon import protocol
 
 
@@ -37,7 +35,7 @@ class DaemonConfig:
 
     host: str = "127.0.0.1"
     port: int = 8080
-    #: Data directory; the queue journal and the cold store shards live
+    #: Data directory; the queue journal and the cold result store live
     #: in ``queue/`` and ``store/`` under it.
     data_dir: str = "daemon-data"
     jobs: int = 1              #: worker processes for the drain pool
@@ -46,15 +44,10 @@ class DaemonConfig:
     #: cold store and ships a snapshot in every job payload.
     policy: str = "static"
     timeout_s: float = 300.0   #: per-job diagnosis timeout
-    hot_capacity: int = DEFAULT_HOT_CAPACITY
-    store_shards: int = DEFAULT_STORE_SHARDS
-    queue_shards: int = DEFAULT_QUEUE_SHARDS
     max_depth: Optional[int] = DEFAULT_MAX_DEPTH
-    batch_size: int = 4        #: jobs per drain batch
     poll_interval_s: float = 0.05
     shutdown_grace_s: float = 30.0
     max_body_bytes: int = protocol.MAX_BODY_BYTES
-    tenant_policy: TenantPolicy = field(default_factory=TenantPolicy)
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Accept-but-don't-drain mode (tests park work in the journal).
     paused: bool = False

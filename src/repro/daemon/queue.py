@@ -1,25 +1,31 @@
-"""The persistent sharded work queue behind the intake daemon.
+"""The persistent work queue behind the intake daemon.
 
 Accepted work must survive a daemon restart — including a hard kill —
 so every accepted job is journaled *before* its HTTP 202 goes out, and
 every completion is journaled after its result is persisted to the
-store.  The journal is JSONL, sharded by signature digest
-(:func:`~repro.service.signature.shard_index`) into
-``queue-<NN>.journal`` files under the data directory:
+store.  The journal is one JSONL file, ``queue-00.journal`` under the
+queue directory:
 
 * ``{"op": "push", "job_id": ..., "digest": ..., "priority": ...,
-  "timeout_s": ..., "tenant": ..., "payload": {...}}``
+  "timeout_s": ..., "payload": {...}}``
 * ``{"op": "done", "job_id": ..., "outcome": ...}``
 
-Recovery replays each shard: a ``push`` without a matching ``done`` is
+Recovery replays the journal: a ``push`` without a matching ``done`` is
 a journaled job the daemon owes an answer for and is re-enqueued
-exactly once (in original priority/FIFO order); a completed job is
-dropped.  The drain loop re-checks the result store before
-re-diagnosing, so a job that finished-but-wasn't-marked (killed
-between the store append and the ``done`` record) is answered from
-cache rather than re-run.  Replay also compacts: each shard is
-rewritten holding only the still-pending pushes, so the journal's size
-is bounded by queue depth, not by lifetime throughput.
+exactly once, in priority order and in acceptance order within a
+priority; a completed job is dropped.  The drain loop re-checks the
+result store before re-diagnosing, so a job that finished-but-wasn't-
+marked (killed between the store append and the ``done`` record) is
+answered from cache rather than re-run.  Replay also compacts: the
+journal is rewritten holding only the still-pending pushes, so its
+size is bounded by queue depth, not by lifetime throughput.
+
+A directory written with several journal files (``queue-NN.journal``,
+one per digest shard) is folded on open: every file is replayed, in
+file then line order, the jobs still owed are written into the one
+journal, and only then are the other files removed.  A kill mid-fold
+folds again on the next open; job ids are unique, so no job is owed
+twice.
 
 Writes are flushed to the OS on every append — a killed *process*
 loses nothing (the page cache survives it); surviving a machine crash
@@ -40,64 +46,52 @@ import threading
 from typing import Dict, List, Optional, TextIO
 
 from repro.service.queue import JobQueue, QueueFull, TriageJob
-from repro.service.signature import shard_index
 
-#: Default journal shard count.
-DEFAULT_QUEUE_SHARDS = 4
+#: The journal's file name: the name a one-shard journal had, so such
+#: a directory opens unchanged.
+JOURNAL_NAME = "queue-00.journal"
 #: Default bounded depth (the backpressure threshold).
 DEFAULT_MAX_DEPTH = 256
 
-__all__ = ["JournaledWorkQueue", "QueueFull", "DEFAULT_QUEUE_SHARDS",
-           "DEFAULT_MAX_DEPTH"]
+__all__ = ["JournaledWorkQueue", "QueueFull", "DEFAULT_MAX_DEPTH"]
 
 
 class JournaledWorkQueue:
     """Bounded priority queue whose accepted work survives restart."""
 
     def __init__(self, directory: str,
-                 shards: int = DEFAULT_QUEUE_SHARDS,
                  max_depth: Optional[int] = DEFAULT_MAX_DEPTH) -> None:
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
-        self.shards = shards
+        self.path = os.path.join(directory, JOURNAL_NAME)
         self._queue = JobQueue(max_depth=max_depth)
         self._lock = threading.Lock()
-        self._writers: Dict[int, TextIO] = {}
         #: Jobs recovered from the journal at open, already enqueued.
         self.recovered: List[TriageJob] = []
         #: Journal lines that failed to parse at open.
         self.skipped_lines = 0
+        self._writer: Optional[TextIO] = None
         self._replay_and_compact()
 
-    # -- journal files --------------------------------------------------
-    def _shard_path(self, shard: int) -> str:
-        return os.path.join(self.directory, f"queue-{shard:02d}.journal")
-
-    def _writer(self, shard: int) -> TextIO:
-        writer = self._writers.get(shard)
-        if writer is None:
-            writer = open(self._shard_path(shard), "a")
-            self._writers[shard] = writer
-        return writer
-
-    def _append(self, shard: int, entry: dict) -> None:
-        writer = self._writer(shard)
-        writer.write(json.dumps(entry, sort_keys=True) + "\n")
-        writer.flush()
-
-    def _shard_of(self, digest: str) -> int:
-        return shard_index(digest, self.shards)
+    def _append(self, entry: dict) -> None:
+        if self._writer is None:
+            self._writer = open(self.path, "a")
+        self._writer.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._writer.flush()
 
     # -- recovery -------------------------------------------------------
     def _replay_and_compact(self) -> None:
-        pending: List[dict] = []  # push entries, in file order per shard
-        for shard in range(self.shards):
-            path = self._shard_path(shard)
+        legacy = sorted(
+            name for name in os.listdir(self.directory)
+            if name.startswith("queue-") and name.endswith(".journal")
+            and name != JOURNAL_NAME)
+        paths = [self.path] + [os.path.join(self.directory, name)
+                               for name in legacy]
+        pushes: Dict[str, dict] = {}  # job_id -> push, in acceptance order
+        done = set()
+        for path in paths:
             if not os.path.exists(path):
                 continue
-            pushes: "Dict[str, dict]" = {}
             with open(path) as fh:
                 for line in fh:
                     line = line.strip()
@@ -110,20 +104,22 @@ class JournaledWorkQueue:
                         self.skipped_lines += 1
                         continue
                     if op == "push" and "job_id" in entry:
-                        pushes[entry["job_id"]] = entry
+                        pushes.setdefault(entry["job_id"], entry)
                     elif op == "done":
-                        pushes.pop(entry.get("job_id"), None)
-            survivors = list(pushes.values())
-            # Compact: the shard now holds only what is still owed.
-            tmp = path + ".tmp"
-            with open(tmp, "w") as fh:
-                for entry in survivors:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
-            os.replace(tmp, path)
-            pending.extend(survivors)
-        # Priority order first, original acceptance order within it —
-        # the same order JobQueue would have served them in.
-        pending.sort(key=lambda e: e.get("priority", 0))
+                        done.add(entry.get("job_id"))
+        pending = [entry for job_id, entry in pushes.items()
+                   if job_id not in done]
+        # Compact: the journal now holds only what is still owed, and
+        # only then do the folded files go.
+        tmp = self.path + ".tmp"
+        with open(tmp, "w") as fh:
+            for entry in pending:
+                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        os.replace(tmp, self.path)
+        for path in paths[1:]:
+            os.remove(path)
+        # Pushed in acceptance order, so JobQueue serves them by
+        # priority and FIFO within a priority, as before the restart.
         for entry in pending:
             job = TriageJob(job_id=entry["job_id"],
                             payload=entry.get("payload", {}),
@@ -139,21 +135,21 @@ class JournaledWorkQueue:
             self.recovered.append(job)
 
     # -- the queue surface ----------------------------------------------
-    def push(self, job: TriageJob, tenant: str = "") -> None:
+    def push(self, job: TriageJob) -> None:
         """Accept one job: journal it, then enqueue it.
 
         Raises :class:`QueueFull` (nothing journaled) when the bounded
         depth is reached — the caller sheds the submission.
         """
-        digest = job.payload.get("digest", job.job_id)
         with self._lock:
             if self._queue.full:
                 raise QueueFull(
                     f"queue at bounded depth {self._queue.max_depth}")
-            self._append(self._shard_of(digest), {
-                "op": "push", "job_id": job.job_id, "digest": digest,
+            self._append({
+                "op": "push", "job_id": job.job_id,
+                "digest": job.payload.get("digest", job.job_id),
                 "priority": job.priority, "timeout_s": job.timeout_s,
-                "tenant": tenant, "payload": job.payload})
+                "payload": job.payload})
             self._queue.push(job)
 
     def pop_batch(self, n: int) -> List[TriageJob]:
@@ -167,11 +163,9 @@ class JournaledWorkQueue:
     def mark_done(self, job: TriageJob) -> None:
         """Journal a completion (call *after* the result is persisted,
         so a crash in between re-runs rather than loses the job)."""
-        digest = job.payload.get("digest", job.job_id)
         with self._lock:
-            self._append(self._shard_of(digest), {
-                "op": "done", "job_id": job.job_id,
-                "outcome": job.outcome.value})
+            self._append({"op": "done", "job_id": job.job_id,
+                          "outcome": job.outcome.value})
 
     @property
     def depth(self) -> int:
@@ -186,10 +180,10 @@ class JournaledWorkQueue:
 
     def close(self) -> None:
         with self._lock:
-            for writer in self._writers.values():
-                writer.close()
-            self._writers.clear()
+            if self._writer is not None:
+                self._writer.close()
+                self._writer = None
 
     def __repr__(self) -> str:
-        return (f"<JournaledWorkQueue {self.directory}: depth "
-                f"{self.depth}/{self.max_depth}, {self.shards} shard(s)>")
+        return (f"<JournaledWorkQueue {self.path}: depth "
+                f"{self.depth}/{self.max_depth}>")

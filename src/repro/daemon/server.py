@@ -1,4 +1,4 @@
-"""The intake server: routing, dedup, admission, and the drain loop.
+"""The intake server: routing, dedup, backpressure, and the drain loop.
 
 :class:`TriageDaemon` is the long-running form of the batch
 :class:`~repro.service.triage.TriageService`: the same
@@ -8,27 +8,26 @@ persistent journaled queue so accepted work survives a restart.
 
 Request lifecycle of ``POST /submit``:
 
-1. tenant admission (:mod:`repro.daemon.tenants`) — over-rate or
-   over-quota submissions are shed with a 429 before the body is even
-   parsed;
-2. artifact parse + crash signature (the same fingerprint the batch
-   verb dedups by);
-3. result-store lookup through the two-tier cache
+1. artifact parse + crash signature (the same fingerprint the batch
+   verb dedups by) — a malformed artifact or ``X-Priority`` is a 400;
+2. result-store lookup through the two-tier cache
    (:mod:`repro.daemon.tiers`) — a repeat signature is answered 200
    ``cache_hit`` from memory (hot) or one disk seek (cold), never
    re-diagnosed;
-4. active-job dedup — a signature already queued or running folds into
+3. active-job dedup — a signature already queued or running folds into
    the existing job (202 ``duplicate``);
-5. journal + enqueue (:mod:`repro.daemon.queue`) — journaled *before*
-   the 202 ``accepted`` goes out, or shed 429 when the bounded queue
-   is full.
+4. journal + enqueue (:mod:`repro.daemon.queue`) — journaled *before*
+   the 202 ``accepted`` goes out, or shed 429 ``queue_full`` when the
+   bounded queue is full.
 
-The drain loop pops priority batches off the queue and runs them on
-the triage worker pool (through :mod:`repro.engine`) in an executor
-thread, so the event loop keeps answering while diagnoses run.  Every
-counter is mirrored into a :mod:`repro.observe` tracer and ``GET
-/metrics`` renders *those* counters, so the exposition and the trace
-tell one story.
+A daemon that is stopping sheds every submission with a 503.
+
+The drain loop pops priority batches of :data:`DRAIN_BATCH` jobs off
+the queue and runs them on the triage worker pool (through
+:mod:`repro.engine`) in an executor thread, so the event loop keeps
+answering while diagnoses run.  Every counter is mirrored into a
+:mod:`repro.observe` tracer and ``GET /metrics`` renders *those*
+counters, so the exposition and the trace tell one story.
 """
 
 from __future__ import annotations
@@ -48,9 +47,11 @@ from repro.service.triage import EMPTY_INTAKE_MESSAGE
 from repro.policy import RECORD_DIGEST_PREFIX, ExperienceIndex
 from repro.daemon import protocol
 from repro.daemon.queue import JournaledWorkQueue
-from repro.daemon.tenants import DEFAULT_TENANT, TenantTable
 from repro.daemon.tiers import TieredStore
 from repro.daemon.worker import resolve_diagnoser
+
+#: Jobs the drain loop pops per batch.
+DRAIN_BATCH = 4
 
 
 class DaemonMetrics(ServiceMetrics):
@@ -77,13 +78,9 @@ class TriageDaemon:
         self.tracer = config.tracer if config.tracer is not None else Tracer()
         self._owns_tracer = config.tracer is None
         self.metrics = DaemonMetrics(tracer=self.tracer)
-        self.store = TieredStore(directory=config.store_dir,
-                                 hot_capacity=config.hot_capacity,
-                                 shards=config.store_shards)
+        self.store = TieredStore(directory=config.store_dir)
         self.queue = JournaledWorkQueue(config.queue_dir,
-                                        shards=config.queue_shards,
                                         max_depth=config.max_depth)
-        self.tenants = TenantTable(config.tenant_policy)
         #: The daemon's experience index: under ``policy="adaptive"``,
         #: seeded from the cold tier's persisted experience records at
         #: boot (so learning survives restarts), grown live as jobs
@@ -124,8 +121,6 @@ class TriageDaemon:
             self._by_digest[job.payload.get("digest", job.job_id)] = \
                 job.job_id
             self._accepted_at[job.job_id] = time.monotonic()
-            tenant = job.payload.get("tenant", DEFAULT_TENANT)
-            self.tenants.note_accepted(tenant)
             self.metrics.incr("accepted")
             self.metrics.incr("recovered")
 
@@ -206,16 +201,10 @@ class TriageDaemon:
     def _submit(self, request: protocol.Request, keep_alive: bool) -> bytes:
         started = time.perf_counter()
         self.metrics.incr("submissions")
-        tenant = request.header("x-tenant", DEFAULT_TENANT) or DEFAULT_TENANT
         if self._stopping:
             self.metrics.incr("shed_stopping")
             return protocol.json_response(
                 503, {"error": "shutting down"}, False)
-        admitted, reason = self.tenants.admit(tenant)
-        if not admitted:
-            self.metrics.incr(f"shed_{reason}")
-            return protocol.json_response(
-                429, {"error": reason, "tenant": tenant}, keep_alive)
         raw_priority = request.header("x-priority", "0") or "0"
         try:
             priority = int(raw_priority)
@@ -249,7 +238,7 @@ class TriageDaemon:
         if job_id is not None:
             job = self._jobs[job_id]
             if not job.done:
-                job.duplicates.append(tenant)
+                job.duplicates.append(artifact.bug_id)
                 self.metrics.incr("deduped")
                 self.metrics.observe_latency(
                     "handle_seconds", time.perf_counter() - started)
@@ -269,22 +258,19 @@ class TriageDaemon:
             timeout_s=self.config.timeout_s,
             payload={"mode": "artifact", "artifact": artifact.render(),
                      "bug_id": artifact.bug_id, "digest": digest,
-                     "tenant": tenant,
                      "policy": self.config.policy})
         if self.config.policy != "static" and self.experience:
             job.payload["experience"] = self.experience.snapshot()
         try:
-            self.queue.push(job, tenant=tenant)
+            self.queue.push(job)
         except QueueFull:
             self.metrics.incr("shed_queue_full")
-            self.tenants.note_shed(tenant)
             return protocol.json_response(429, {
                 "error": "queue_full", "depth": self.queue.depth,
-                "digest": digest}, keep_alive,)
+                "digest": digest}, keep_alive)
         self._jobs[job_id] = job
         self._by_digest[digest] = job_id
         self._accepted_at[job_id] = time.monotonic()
-        self.tenants.note_accepted(tenant)
         self.metrics.incr("accepted")
         self.metrics.observe_latency(
             "handle_seconds", time.perf_counter() - started)
@@ -305,7 +291,6 @@ class TriageDaemon:
             "job_id": job.job_id, "status": outcome.value,
             "digest": job.payload.get("digest", ""),
             "bug_id": job.payload.get("bug_id", ""),
-            "tenant": job.payload.get("tenant", DEFAULT_TENANT),
             "priority": job.priority, "duplicates": len(job.duplicates),
             "attempts": job.attempts, "seconds": job.seconds,
             "error": job.error,
@@ -340,7 +325,7 @@ class TriageDaemon:
             if self.paused:
                 await asyncio.sleep(self.config.poll_interval_s)
                 continue
-            batch = self.queue.pop_batch(self.config.batch_size)
+            batch = self.queue.pop_batch(DRAIN_BATCH)
             if not batch:
                 await asyncio.sleep(self.config.poll_interval_s)
                 continue
@@ -383,7 +368,6 @@ class TriageDaemon:
                 self.store.put(RECORD_DIGEST_PREFIX + digest, record)
                 self.experience.absorb_record(record)
         self.queue.mark_done(job)
-        self.tenants.note_done(job.payload.get("tenant", DEFAULT_TENANT))
         self._running -= 1
         if job.outcome is JobOutcome.SUCCEEDED:
             self.metrics.incr("completed")
@@ -414,16 +398,7 @@ class TriageDaemon:
         }
         histograms = {f"daemon.{name}": hist
                       for name, hist in self.metrics.histograms.items()}
-        text = render_exposition(counters, gauges, histograms)
-        tenant_lines = []
-        for tenant, counts in self.tenants.snapshot().items():
-            for key, value in sorted(counts.items()):
-                tenant_lines.append(
-                    f'aitia_daemon_tenant_{key}{{tenant="{tenant}"}}'
-                    f' {value}')
-        if tenant_lines:
-            text += "\n".join(tenant_lines) + "\n"
-        return text
+        return render_exposition(counters, gauges, histograms)
 
     # -- lifecycle ------------------------------------------------------
     def request_shutdown(self) -> None:

@@ -1,4 +1,4 @@
-"""The two-tier result store: hot in-memory LRU over cold sharded JSONL.
+"""The two-tier result store: hot in-memory LRU over one cold JSONL file.
 
 The daemon's steady state is repeat traffic — the same crash signature
 submitted thousands of times.  PR 1's :class:`ResultStore` already
@@ -8,11 +8,14 @@ into two tiers so the *hot path never touches disk*:
 * **hot** — :class:`HotTier`, a bounded in-memory LRU of digest →
   record.  A hit is a dict lookup; thousands of duplicate submissions
   are answered in microseconds.
-* **cold** — :class:`ShardedColdStore`, N append-only JSONL shards
-  (:class:`~repro.service.store.ResultStore` files, offset-indexed)
-  selected by signature prefix (:func:`~repro.service.signature
-  .shard_index`).  A cold hit costs one seek + one line parse and
-  promotes the record into the hot tier.
+* **cold** — one append-only, offset-indexed
+  :class:`~repro.service.store.ResultStore` file, ``shard-00.jsonl``
+  (the name a one-shard store always had).  A cold hit costs one
+  seek + one line parse and promotes the record into the hot tier.
+  A directory written with several ``shard-NN.jsonl`` files is folded
+  on open: each other file's records are put into the one file, and
+  only then is that file removed, so a kill mid-fold folds again on
+  the next open and loses nothing.
 
 :class:`TieredStore` composes the two behind the same ``get``/``put``
 surface the triage service uses, so it drops into any code that takes
@@ -25,16 +28,16 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
-from repro.service.signature import shard_index
 from repro.service.store import ResultStore
 
-#: Default hot-tier capacity (records, not bytes — diagnosis records
-#: are small dicts).
+#: Hot-tier capacity (records, not bytes — diagnosis records are small
+#: dicts).
 DEFAULT_HOT_CAPACITY = 1024
-#: Default cold-tier shard count.
-DEFAULT_STORE_SHARDS = 8
+#: The cold tier's file name: the name a one-shard store had, so such
+#: a directory opens unchanged.
+STORE_NAME = "shard-00.jsonl"
 
 
 class HotTier:
@@ -75,64 +78,28 @@ class HotTier:
         return len(self._entries)
 
 
-class ShardedColdStore:
-    """N offset-indexed JSONL result stores, sharded by digest prefix.
-
-    Sharding keeps each append-only file (and its one-scan open) small
-    as the store grows, and gives the journal/story a stable on-disk
-    layout: digest X always lives in ``shard-of(X)``, across restarts.
-    """
-
-    def __init__(self, directory: str,
-                 shards: int = DEFAULT_STORE_SHARDS) -> None:
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-        self.stores: List[ResultStore] = [
-            ResultStore(os.path.join(directory, f"shard-{i:02d}.jsonl"))
-            for i in range(shards)]
-
-    def _store_for(self, digest: str) -> ResultStore:
-        return self.stores[shard_index(digest, len(self.stores))]
-
-    def get(self, digest: str) -> Optional[dict]:
-        return self._store_for(digest).get(digest)
-
-    def put(self, digest: str, record: dict) -> None:
-        self._store_for(digest).put(digest, record)
-
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._store_for(digest)
-
-    def __len__(self) -> int:
-        return sum(len(store) for store in self.stores)
-
-    def digests(self) -> Iterator[str]:
-        for store in self.stores:
-            yield from store.digests()
-
-    def records(self) -> Iterator[Tuple[str, dict]]:
-        """All ``(digest, record)`` pairs, shard by shard (each shard
-        reuses its offset index — one seek per record)."""
-        for store in self.stores:
-            yield from store.records()
-
-    def compact(self) -> None:
-        for store in self.stores:
-            store.compact()
-
-    def close(self) -> None:
-        for store in self.stores:
-            store.close()
-
-    def __repr__(self) -> str:
-        return (f"<ShardedColdStore {self.directory}: "
-                f"{len(self.stores)} shard(s), {len(self)} record(s)>")
+def _open_cold(directory: str) -> ResultStore:
+    """The cold tier under ``directory``, with every other
+    ``shard-*.jsonl`` file folded into it and removed."""
+    os.makedirs(directory, exist_ok=True)
+    cold = ResultStore(os.path.join(directory, STORE_NAME))
+    for name in sorted(os.listdir(directory)):
+        if (name == STORE_NAME or not name.startswith("shard-")
+                or not name.endswith(".jsonl")):
+            continue
+        path = os.path.join(directory, name)
+        old = ResultStore(path)
+        try:
+            for digest, record in old.records():
+                cold.put(digest, record)
+        finally:
+            old.close()
+        os.remove(path)
+    return cold
 
 
 class TieredStore:
-    """Hot LRU in front of the sharded cold tier, one store surface.
+    """Hot LRU in front of the cold tier, one store surface.
 
     ``lookup`` reports *which* tier answered so the daemon can count
     hot vs cold hits; ``get``/``put`` keep the plain
@@ -140,16 +107,10 @@ class TieredStore:
     """
 
     def __init__(self, directory: Optional[str] = None,
-                 hot_capacity: int = DEFAULT_HOT_CAPACITY,
-                 shards: int = DEFAULT_STORE_SHARDS,
-                 cold=None) -> None:
+                 hot_capacity: int = DEFAULT_HOT_CAPACITY) -> None:
         self.hot = HotTier(hot_capacity)
-        if cold is not None:
-            self.cold = cold
-        elif directory is not None:
-            self.cold = ShardedColdStore(directory, shards)
-        else:
-            self.cold = ResultStore()
+        self.cold = (ResultStore() if directory is None
+                     else _open_cold(directory))
         self.cold_hits = 0
 
     # ------------------------------------------------------------------
@@ -198,9 +159,7 @@ class TieredStore:
         }
 
     def close(self) -> None:
-        close = getattr(self.cold, "close", None)
-        if close is not None:
-            close()
+        self.cold.close()
 
     def __repr__(self) -> str:
         return (f"<TieredStore hot {len(self.hot)}/{self.hot.capacity} "

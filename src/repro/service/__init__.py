@@ -30,7 +30,7 @@ from repro.service.queue import (
     RetryPolicy,
     TriageJob,
 )
-from repro.service.signature import CrashSignature, shard_index, signature_of
+from repro.service.signature import CrashSignature, signature_of
 from repro.service.store import ResultStore
 from repro.service.triage import (
     EMPTY_INTAKE_MESSAGE,
@@ -55,6 +55,5 @@ __all__ = [
     "TriageService",
     "TriageSummary",
     "diagnose_job",
-    "shard_index",
     "signature_of",
 ]

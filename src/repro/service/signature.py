@@ -88,20 +88,3 @@ def signature_of_text(crash_text: str) -> CrashSignature:
 
     return signature_of(parse_crash_report(crash_text))
 
-
-def shard_index(digest: str, shards: int) -> int:
-    """Stable shard assignment by signature-digest prefix.
-
-    The daemon's cold store and work-queue journal are both sharded by
-    this function, so a digest always lands in the same shard file
-    across restarts.  Digests are hex (:func:`_sha`); anything else is
-    re-hashed first so the function totals over arbitrary keys.
-    """
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    prefix = digest[:4]
-    try:
-        value = int(prefix, 16)
-    except ValueError:
-        value = int(_sha(digest)[:4], 16)
-    return value % shards

@@ -10,10 +10,18 @@ from repro.service.queue import JobOutcome, QueueFull, TriageJob
 
 
 def _job(n: int, priority: int = 0) -> TriageJob:
-    digest = f"{n:016x}"
+    # Vary the leading hex digits: a digest-sharded journal would put
+    # these jobs in different files.
+    digest = f"{n:04x}" + "0" * 12
     return TriageJob(job_id=f"BUG-{n}:{digest}", priority=priority,
-                     payload={"digest": digest, "bug_id": f"BUG-{n}",
-                              "tenant": "t"})
+                     payload={"digest": digest, "bug_id": f"BUG-{n}"})
+
+
+def _push_line(job: TriageJob) -> str:
+    return json.dumps({"op": "push", "job_id": job.job_id,
+                       "digest": job.payload["digest"],
+                       "priority": job.priority, "timeout_s": 300.0,
+                       "payload": job.payload}) + "\n"
 
 
 def _journal_entries(directory):
@@ -28,7 +36,7 @@ def _journal_entries(directory):
 
 class TestPushPop:
     def test_priority_order_across_shards(self, tmp_path):
-        queue = JournaledWorkQueue(str(tmp_path), shards=4)
+        queue = JournaledWorkQueue(str(tmp_path))
         queue.push(_job(1, priority=5))
         queue.push(_job(2, priority=0))
         queue.push(_job(3, priority=5))
@@ -57,12 +65,12 @@ class TestPushPop:
 
 class TestRecovery:
     def test_pending_jobs_survive_reopen(self, tmp_path):
-        queue = JournaledWorkQueue(str(tmp_path), shards=3)
+        queue = JournaledWorkQueue(str(tmp_path))
         for n in range(4):
-            queue.push(_job(n), tenant="t")
+            queue.push(_job(n))
         queue.close()
 
-        reopened = JournaledWorkQueue(str(tmp_path), shards=3)
+        reopened = JournaledWorkQueue(str(tmp_path))
         assert len(reopened.recovered) == 4
         assert reopened.depth == 4
         ids = {j.job_id for j in reopened.pop_batch(10)}
@@ -82,7 +90,7 @@ class TestRecovery:
         assert [j.job_id for j in reopened.recovered] == [second.job_id]
 
     def test_replay_compacts_the_shards(self, tmp_path):
-        queue = JournaledWorkQueue(str(tmp_path), shards=1)
+        queue = JournaledWorkQueue(str(tmp_path))
         for n in range(10):
             job = _job(n)
             queue.push(job)
@@ -93,7 +101,7 @@ class TestRecovery:
         queue.close()
         assert len(_journal_entries(tmp_path)) == 19  # 10 push + 9 done
 
-        JournaledWorkQueue(str(tmp_path), shards=1).close()
+        JournaledWorkQueue(str(tmp_path)).close()
         # Only the one still-owed push survives compaction.
         entries = _journal_entries(tmp_path)
         assert len(entries) == 1
@@ -125,7 +133,7 @@ class TestRecovery:
             reopened.push(_job(7))
 
     def test_corrupt_journal_lines_are_skipped(self, tmp_path):
-        queue = JournaledWorkQueue(str(tmp_path), shards=1)
+        queue = JournaledWorkQueue(str(tmp_path))
         queue.push(_job(1))
         queue.close()
         path = os.path.join(str(tmp_path), "queue-00.journal")
@@ -135,23 +143,62 @@ class TestRecovery:
             fh.write('{"op": "push", "job_id": "ok:0000000000000002", '
                      '"digest": "0000000000000002", "payload": {}}\n')
 
-        reopened = JournaledWorkQueue(str(tmp_path), shards=1)
+        reopened = JournaledWorkQueue(str(tmp_path))
         assert reopened.skipped_lines == 2  # bad JSON + missing "op"
         assert len(reopened.recovered) == 2
 
-    def test_shard_files_are_stable_for_a_digest(self, tmp_path):
-        queue = JournaledWorkQueue(str(tmp_path), shards=4)
-        job = _job(7)
-        queue.push(job)
+    def test_recovery_replays_in_acceptance_order(self, tmp_path):
+        queue = JournaledWorkQueue(str(tmp_path))
+        jobs = [_job(n) for n in range(8)]
+        for job in jobs:
+            queue.push(job)
         queue.close()
-        before = {name for name in os.listdir(tmp_path)
-                  if os.path.getsize(os.path.join(tmp_path, name))}
+        assert os.listdir(tmp_path) == ["queue-00.journal"]
 
-        reopened = JournaledWorkQueue(str(tmp_path), shards=4)
-        reopened.pop_batch(1)
-        job.outcome = JobOutcome.SUCCEEDED
-        reopened.mark_done(job)
-        reopened.close()
-        after = {name for name in os.listdir(tmp_path)
-                 if "done" in open(os.path.join(tmp_path, name)).read()}
-        assert after == before  # push and done landed in the same shard
+        reopened = JournaledWorkQueue(str(tmp_path))
+        assert [j.job_id for j in reopened.pop_batch(8)] == [
+            j.job_id for j in jobs]  # FIFO within a priority
+
+
+class TestShardedLayoutFold:
+    """Directories written with one journal file per digest shard."""
+
+    def _write_shards(self, directory, jobs):
+        done = jobs[2]
+        with open(os.path.join(directory, "queue-01.journal"), "w") as fh:
+            fh.write(_push_line(jobs[0]))
+            fh.write(_push_line(done))
+            fh.write(json.dumps({"op": "done", "job_id": done.job_id,
+                                 "outcome": "succeeded"}) + "\n")
+        with open(os.path.join(directory, "queue-03.journal"), "w") as fh:
+            fh.write(_push_line(jobs[1]))
+
+    def test_fold_replays_owed_jobs_into_one_file(self, tmp_path):
+        jobs = [_job(n) for n in (1, 3, 5)]
+        self._write_shards(str(tmp_path), jobs)
+
+        queue = JournaledWorkQueue(str(tmp_path))
+        # File then line order: queue-01's owed job, then queue-03's.
+        assert [j.job_id for j in queue.recovered] == [
+            jobs[0].job_id, jobs[1].job_id]
+        assert os.listdir(tmp_path) == ["queue-00.journal"]
+        queue.close()
+        reopened = JournaledWorkQueue(str(tmp_path))
+        assert [j.job_id for j in reopened.recovered] == [
+            jobs[0].job_id, jobs[1].job_id]
+
+    def test_fold_cut_short_folds_again(self, tmp_path):
+        jobs = [_job(n) for n in (1, 3, 5)]
+        self._write_shards(str(tmp_path), jobs)
+        # A kill after the one journal was written but before the
+        # folded files were removed leaves both behind.
+        with open(os.path.join(str(tmp_path), "queue-00.journal"),
+                  "w") as fh:
+            fh.write(_push_line(jobs[0]))
+            fh.write(_push_line(jobs[1]))
+
+        queue = JournaledWorkQueue(str(tmp_path))
+        assert [j.job_id for j in queue.recovered] == [
+            jobs[0].job_id, jobs[1].job_id]
+        assert os.listdir(tmp_path) == ["queue-00.journal"]
+        assert len(_journal_entries(tmp_path)) == 2

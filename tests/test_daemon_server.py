@@ -2,24 +2,27 @@
 
 Each test boots a :class:`TriageDaemon` on an ephemeral port inside
 ``asyncio.run`` and drives it through :class:`DaemonClient` — the full
-HTTP → admission → dedup → journal → drain → store path, with the
+HTTP → dedup → journal → drain → store path, with the
 instant stub diagnoser so nothing here costs a real diagnosis.
 """
 
 import asyncio
 import functools
+import json
+import os
 import time
 
 from repro.corpus.registry import get_bug
 from repro.daemon import (
     DaemonClient,
     DaemonConfig,
-    TenantPolicy,
     start_daemon,
     stub_diagnose_job,
 )
 from repro.observe.export import parse_exposition
 from repro.service.artifacts import CrashArtifact
+from repro.service.signature import signature_of_text
+from repro.service.store import ResultStore
 from repro.service.triage import EMPTY_INTAKE_MESSAGE
 from repro.trace.syzkaller import run_bug_finder
 
@@ -152,9 +155,9 @@ class TestSubmitPath:
     def test_duplicate_folds_into_queued_job(self, tmp_path):
         async def scenario(daemon, client):
             text = artifact_text("SYZ-02")
-            first = (await client.submit(text, tenant="a")).json()
+            first = (await client.submit(text)).json()
             assert first["status"] == "accepted"
-            second = (await client.submit(text, tenant="b")).json()
+            second = (await client.submit(text)).json()
             assert second["status"] == "duplicate"
             assert second["job_id"] == first["job_id"]
 
@@ -223,40 +226,6 @@ class TestBackpressure:
             assert_reconciled(metrics)
 
         daemon_test(tmp_path, scenario, paused=True, max_depth=2)
-
-    def test_rate_limited_tenant_sheds_others_pass(self, tmp_path):
-        async def scenario(daemon, client):
-            text = artifact_text("SYZ-05")
-            first = await client.submit(text, tenant="noisy")
-            assert first.status == 202
-            second = await client.submit(text, tenant="noisy")
-            assert second.status == 429
-            assert second.json()["error"] == "rate_limited"
-            # Another tenant has its own bucket; same signature, so the
-            # submission folds into the queued job instead of shedding.
-            other = await client.submit(text, tenant="quiet")
-            assert other.status == 202
-            assert other.json()["status"] == "duplicate"
-
-            metrics = await scrape(client)
-            assert metrics["aitia_daemon_shed_rate_limited_total"] == 1
-            assert metrics['aitia_daemon_tenant_shed{tenant="noisy"}'] == 1
-            assert metrics['aitia_daemon_tenant_accepted{tenant="noisy"}'] == 1
-            assert_reconciled(metrics)
-
-        daemon_test(tmp_path, scenario, paused=True,
-                    tenant_policy=TenantPolicy(rate=0.000001, burst=1.0))
-
-    def test_lifetime_quota(self, tmp_path):
-        async def scenario(daemon, client):
-            first = await client.submit(artifact_text("SYZ-06"), tenant="t")
-            assert first.status == 202
-            second = await client.submit(artifact_text("SYZ-07"), tenant="t")
-            assert second.status == 429
-            assert second.json()["error"] == "quota_exceeded"
-
-        daemon_test(tmp_path, scenario, paused=True,
-                    tenant_policy=TenantPolicy(max_accepted=1))
 
 
 class TestRoutingAndHealth:
@@ -348,12 +317,8 @@ class TestRecoveryInProcess:
 
         # Simulate a crash after the result hit the store but before the
         # journal's "done" record: persist SYZ-01's result by hand.
-        from repro.daemon.tiers import ShardedColdStore
-        from repro.daemon.queue import DEFAULT_QUEUE_SHARDS  # noqa: F401
-        import os
-        cold = ShardedColdStore(os.path.join(data_dir, "store"))
-        cold.put(digests["SYZ-01"], {"bug_id": "SYZ-01", "row": {}})
-        cold.close()
+        ResultStore(os.path.join(data_dir, "store", "shard-00.jsonl")).put(
+            digests["SYZ-01"], {"bug_id": "SYZ-01", "row": {}})
 
         calls = []
 
@@ -371,6 +336,60 @@ class TestRecoveryInProcess:
                     diagnoser=counting_diagnoser)
         # SYZ-01 answered from the store; only SYZ-02 was diagnosed.
         assert calls == ["SYZ-02"]
+
+
+    def test_sharded_data_directory_folds_and_replays_once(self, tmp_path):
+        # A data directory in the digest-sharded layout: two owed jobs
+        # and one completed job across two journal files, and a result
+        # in a store file other than shard-00.
+        data_dir = tmp_path / "data"
+        (data_dir / "queue").mkdir(parents=True)
+
+        def line(op, n):
+            digest = f"{n:04x}" + "0" * 12
+            entry = {"op": op, "job_id": f"BUG-{n}:{digest}"}
+            if op == "push":
+                entry.update(digest=digest, priority=0, timeout_s=300.0,
+                             payload={"mode": "artifact", "digest": digest,
+                                      "bug_id": f"BUG-{n}",
+                                      "policy": "static"})
+            else:
+                entry["outcome"] = "succeeded"
+            return json.dumps(entry) + "\n"
+
+        (data_dir / "queue" / "queue-01.journal").write_text(
+            line("push", 1) + line("push", 5) + line("done", 5))
+        (data_dir / "queue" / "queue-03.journal").write_text(
+            line("push", 3))
+        stored = artifact_text("SYZ-05")
+        digest = signature_of_text(
+            CrashArtifact.parse(stored).crash_text).digest
+        ResultStore(str(data_dir / "store" / "shard-05.jsonl")).put(
+            digest, {"bug_id": "SYZ-05", "row": {}})
+
+        calls = []
+
+        def counting_diagnoser(payload):
+            calls.append(payload["bug_id"])
+            return stub_diagnose_job(payload)
+
+        async def drain(daemon, client):
+            assert [j.payload["bug_id"] for j in daemon.queue.recovered] == [
+                "BUG-1", "BUG-3"]
+            await wait_until(lambda: daemon.metrics.count("completed") == 2)
+            hit = await client.submit(stored)
+            assert hit.status == 200
+            assert hit.json()["status"] == "cache_hit"
+            assert hit.json()["tier"] == "cold"
+            metrics = await scrape(client)
+            assert metrics["aitia_daemon_recovered_total"] == 2
+            assert_reconciled(metrics)
+
+        daemon_test(tmp_path, drain, data_dir=str(data_dir),
+                    diagnoser=counting_diagnoser)
+        assert calls == ["BUG-1", "BUG-3"]  # each owed job exactly once
+        assert os.listdir(data_dir / "queue") == ["queue-00.journal"]
+        assert os.listdir(data_dir / "store") == ["shard-00.jsonl"]
 
 
 class TestShutdown:

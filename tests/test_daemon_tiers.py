@@ -1,15 +1,16 @@
-"""Tests for the two-tier result store (hot LRU over cold shards)."""
+"""Tests for the two-tier result store (hot LRU over one cold file)."""
 
 import os
 
 import pytest
 
-from repro.daemon.tiers import HotTier, ShardedColdStore, TieredStore
-from repro.service.signature import shard_index
+from repro.daemon.tiers import HotTier, TieredStore
+from repro.service.store import ResultStore
 
 
 def _digest(n: int) -> str:
-    # Vary the leading hex chars: shard_index shards by digest prefix.
+    # Vary the leading hex digits: a digest-sharded store would put
+    # these records in different files.
     return f"{n:04x}" + "0" * 12
 
 
@@ -40,35 +41,6 @@ class TestHotTier:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             HotTier(capacity=0)
-
-
-class TestShardedColdStore:
-    def test_round_trip_and_shard_layout(self, tmp_path):
-        cold = ShardedColdStore(str(tmp_path), shards=4)
-        for n in range(16):
-            cold.put(_digest(n), {"n": n})
-        assert len(cold) == 16
-        assert cold.get(_digest(3)) == {"n": 3}
-        assert set(cold.digests()) == {_digest(n) for n in range(16)}
-        files = [f for f in os.listdir(tmp_path) if f.endswith(".jsonl")]
-        assert len(files) == 4
-
-    def test_digest_lands_in_stable_shard_across_reopen(self, tmp_path):
-        ShardedColdStore(str(tmp_path), shards=8).put(_digest(5), {"v": 1})
-        reopened = ShardedColdStore(str(tmp_path), shards=8)
-        assert reopened.get(_digest(5)) == {"v": 1}
-        shard = shard_index(_digest(5), 8)
-        path = os.path.join(str(tmp_path), f"shard-{shard:02d}.jsonl")
-        assert os.path.getsize(path) > 0
-
-    def test_compact_and_close(self, tmp_path):
-        cold = ShardedColdStore(str(tmp_path), shards=2)
-        for _ in range(3):
-            cold.put(_digest(1), {"v": 1})
-        cold.compact()
-        cold.close()
-        assert ShardedColdStore(str(tmp_path), shards=2).get(
-            _digest(1)) == {"v": 1}
 
 
 class TestTieredStore:
@@ -115,3 +87,22 @@ class TestTieredStore:
         assert stats["hot_hits"] == 1
         assert stats["cold_size"] == 1
         assert stats["lookups"] == stats["hot_hits"] + stats["hot_misses"]
+
+    def test_one_cold_file(self, tmp_path):
+        store = TieredStore(directory=str(tmp_path))
+        for n in range(16):
+            store.put(_digest(n), {"n": n})
+        store.close()
+        assert os.listdir(tmp_path) == ["shard-00.jsonl"]
+
+    def test_sharded_layout_folds_into_one_file(self, tmp_path):
+        for n in (0, 3, 5):
+            ResultStore(os.path.join(str(tmp_path), f"shard-{n:02d}.jsonl")
+                        ).put(_digest(n), {"n": n})
+
+        store = TieredStore(directory=str(tmp_path))
+        assert os.listdir(tmp_path) == ["shard-00.jsonl"]
+        for n in (0, 3, 5):
+            assert store.lookup(_digest(n)) == ({"n": n}, "cold")
+        assert len(store) == 3
+        store.close()
