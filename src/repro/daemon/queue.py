@@ -13,12 +13,14 @@ queue directory:
 Recovery replays the journal: a ``push`` without a matching ``done`` is
 a journaled job the daemon owes an answer for and is re-enqueued
 exactly once, in priority order and in acceptance order within a
-priority; a completed job is dropped.  The drain loop re-checks the
-result store before re-diagnosing, so a job that finished-but-wasn't-
-marked (killed between the store append and the ``done`` record) is
-answered from cache rather than re-run.  Replay also compacts: the
-journal is rewritten holding only the still-pending pushes, so its
-size is bounded by queue depth, not by lifetime throughput.
+priority; a completed job is dropped.  A line that is not JSON, or
+whose fields have the wrong types, is counted in ``skipped_lines`` and
+otherwise ignored.  The drain loop re-checks the result store before
+re-diagnosing, so a job that finished-but-wasn't-marked (killed between
+the store append and the ``done`` record) is answered from cache rather
+than re-run.  Replay also compacts: the journal is rewritten holding
+only the still-pending pushes, so its size is bounded by queue depth,
+not by lifetime throughput.
 
 A directory written with several journal files (``queue-NN.journal``,
 one per digest shard) is folded on open: every file is replayed, in
@@ -56,6 +58,20 @@ DEFAULT_MAX_DEPTH = 256
 __all__ = ["JournaledWorkQueue", "QueueFull", "DEFAULT_MAX_DEPTH"]
 
 
+def _replayable_push(entry: dict) -> bool:
+    """Whether a parsed push line has the field types replay relies on.
+
+    A line that is valid JSON with other types (a list ``job_id``, a
+    list ``payload``, a string ``priority``) is skipped like a torn
+    one, so it never reaches the heap, the dedup map or a worker."""
+    payload = entry.get("payload", {})
+    return (isinstance(entry.get("job_id"), str)
+            and isinstance(payload, dict)
+            and isinstance(payload.get("digest", ""), str)
+            and isinstance(entry.get("priority", 0), int)
+            and isinstance(entry.get("timeout_s", 300.0), (int, float)))
+
+
 class JournaledWorkQueue:
     """Bounded priority queue whose accepted work survives restart."""
 
@@ -68,7 +84,8 @@ class JournaledWorkQueue:
         self._lock = threading.Lock()
         #: Jobs recovered from the journal at open, already enqueued.
         self.recovered: List[TriageJob] = []
-        #: Journal lines that failed to parse at open.
+        #: Journal lines skipped at open: torn or not JSON, no ``op``,
+        #: or an entry without the field types replay needs.
         self.skipped_lines = 0
         self._writer: Optional[TextIO] = None
         self._replay_and_compact()
@@ -103,10 +120,13 @@ class JournaledWorkQueue:
                     except (ValueError, KeyError, TypeError):
                         self.skipped_lines += 1
                         continue
-                    if op == "push" and "job_id" in entry:
+                    if op == "push" and _replayable_push(entry):
                         pushes.setdefault(entry["job_id"], entry)
-                    elif op == "done":
-                        done.add(entry.get("job_id"))
+                    elif op == "done" and isinstance(entry.get("job_id"),
+                                                     str):
+                        done.add(entry["job_id"])
+                    else:
+                        self.skipped_lines += 1
         pending = [entry for job_id, entry in pushes.items()
                    if job_id not in done]
         # Compact: the journal now holds only what is still owed, and

@@ -359,12 +359,13 @@ class TriageDaemon:
         still in flight."""
         digest = job.payload.get("digest", "")
         if job.outcome is JobOutcome.SUCCEEDED:
+            # What the diagnosis learned is stored once, in its own
+            # digest namespace (reloaded at next boot), not in the result
+            # record every cache hit sends; it is also folded into the
+            # live index for subsequent adaptive submissions.
+            record = job.result.pop("experience", None)
             self.store.put(digest, job.result)
-            record = (job.result or {}).get("experience")
             if record:
-                # Persist what the diagnosis learned (own digest
-                # namespace, reloaded at next boot) and fold it into the
-                # live index for subsequent adaptive submissions.
                 self.store.put(RECORD_DIGEST_PREFIX + digest, record)
                 self.experience.absorb_record(record)
         self.queue.mark_done(job)

@@ -93,12 +93,15 @@ class CrashArtifact:
                           _FTRACE_MARK, self.ftrace_text])
 
     def write(self, path: str) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.render() + "\n")
 
     @classmethod
     def read(cls, path: str) -> "CrashArtifact":
-        with open(path) as fh:
+        # Bytes that are not UTF-8 are read as U+FFFD, as the daemon
+        # reads an HTTP body: the text then parses or raises a parse
+        # error, never a UnicodeDecodeError.
+        with open(path, encoding="utf-8", errors="replace") as fh:
             return cls.parse(fh.read())
 
     # -- reconstruction -------------------------------------------------
@@ -114,11 +117,11 @@ class CrashArtifact:
 
 
 def scan_directory(path: str) -> List[str]:
-    """Paths of all ``*.crash`` artifacts under ``path`` (sorted)."""
-    return sorted(
-        os.path.join(path, name) for name in os.listdir(path)
-        if name.endswith(EXTENSION)
-        and os.path.isfile(os.path.join(path, name)))
+    """Paths of all ``*.crash`` files under ``path`` (sorted; symlinks
+    are followed, as :func:`os.path.isfile` does)."""
+    with os.scandir(path) as entries:
+        return sorted(entry.path for entry in entries
+                      if entry.name.endswith(EXTENSION) and entry.is_file())
 
 
 def emit_artifact(bug, directory: str) -> str:

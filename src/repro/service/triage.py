@@ -27,6 +27,7 @@ from repro.service.metrics import ServiceMetrics
 from repro.service.queue import JobOutcome, JobQueue, RetryPolicy, TriageJob
 from repro.service.signature import CrashSignature, signature_of
 from repro.service.store import ResultStore
+from repro.trace.crash import CrashParseError, parse_crash_report
 
 DEFAULT_JOB_TIMEOUT_S = 300.0
 
@@ -193,7 +194,8 @@ class TriageService:
 
     # -- intake ---------------------------------------------------------
     def _submit(self, bug_id: str, signature: CrashSignature,
-                payload: dict, source: str, priority: int) -> TriageJob:
+                mode: str, source: str, priority: int,
+                artifact: Optional[CrashArtifact] = None) -> TriageJob:
         self.metrics.incr("reports_submitted")
         digest = signature.digest
         existing = self._by_digest.get(digest)
@@ -201,10 +203,8 @@ class TriageService:
             existing.duplicates.append(source)
             self.metrics.incr("reports_deduped")
             return existing
-        payload = dict(payload, bug_id=bug_id, digest=digest,
-                       policy=self.policy)
-        if self.policy != "static" and self.experience:
-            payload["experience"] = self.experience.snapshot()
+        payload = {"mode": mode, "bug_id": bug_id, "digest": digest,
+                   "policy": self.policy}
         job = TriageJob(job_id=f"{bug_id}:{digest}", payload=payload,
                         priority=priority, timeout_s=self.timeout_s)
         self._by_digest[digest] = job
@@ -214,20 +214,27 @@ class TriageService:
             job.outcome = JobOutcome.CACHE_HIT
             job.result = cached
             self.metrics.incr("cache_hits")
-        else:
-            self._queue.push(job)
-            self.metrics.incr("jobs_enqueued")
+            return job
+        # Only a job that will diagnose carries what the worker reads.
+        if artifact is not None:
+            payload["artifact"] = artifact.render()
+        if self.policy != "static" and self.experience:
+            payload["experience"] = self.experience.snapshot()
+        self._queue.push(job)
+        self.metrics.incr("jobs_enqueued")
         return job
 
     def submit_artifact(self, artifact: CrashArtifact,
                         source: str = "", priority: int = 0) -> TriageJob:
-        """Ingest one serialized crash artifact."""
+        """Ingest one serialized crash artifact.
+
+        The signature comes from the crash section alone; the ftrace
+        history is parsed in the worker, and only if the job diagnoses.
+        A malformed crash section raises :class:`CrashParseError`."""
         with self.metrics.timer("intake"):
-            signature = signature_of(artifact.to_report().crash)
-        return self._submit(
-            artifact.bug_id, signature,
-            {"mode": "artifact", "artifact": artifact.render()},
-            source or artifact.bug_id, priority)
+            signature = signature_of(parse_crash_report(artifact.crash_text))
+        return self._submit(artifact.bug_id, signature, "artifact",
+                            source or artifact.bug_id, priority, artifact)
 
     def submit_bug(self, bug, pipeline: bool = False,
                    priority: int = 0) -> TriageJob:
@@ -241,12 +248,14 @@ class TriageService:
             report = run_bug_finder(bug, benign_probes=0)
             signature = signature_of(report.crash)
         mode = "pipeline" if pipeline else "direct"
-        return self._submit(bug.bug_id, signature, {"mode": mode},
-                            bug.bug_id, priority)
+        return self._submit(bug.bug_id, signature, mode, bug.bug_id,
+                            priority)
 
     def intake_directory(self, path: str) -> List[TriageJob]:
-        """Ingest every ``*.crash`` artifact in a directory; malformed
-        files are counted and skipped, never fatal."""
+        """Ingest every ``*.crash`` artifact in a directory; a file that
+        cannot be read or whose bundle or crash section is malformed is
+        counted (``intake_errors``) and skipped, never fatal.  A
+        malformed ftrace history surfaces later, as a failed job."""
         jobs = []
         for artifact_path in scan_directory(path):
             try:
@@ -254,8 +263,11 @@ class TriageService:
             except (ArtifactParseError, OSError):
                 self.metrics.incr("intake_errors")
                 continue
-            jobs.append(self.submit_artifact(artifact,
-                                             source=artifact_path))
+            try:
+                jobs.append(self.submit_artifact(artifact,
+                                                 source=artifact_path))
+            except CrashParseError:
+                self.metrics.incr("intake_errors")
         return jobs
 
     # -- execution ------------------------------------------------------
@@ -289,8 +301,11 @@ class TriageService:
         self.metrics.observe("queue_wait", job.queue_wait_s)
         if job.outcome is JobOutcome.SUCCEEDED:
             with self.metrics.timer("persist"):
+                # The experience record is stored once, under its own
+                # digest, not in the result record every cache hit
+                # decodes.
+                record = job.result.pop("experience", None)
                 self.store.put(job.payload["digest"], job.result)
-                record = (job.result or {}).get("experience")
                 if record:
                     from repro.policy import RECORD_DIGEST_PREFIX
                     self.store.put(

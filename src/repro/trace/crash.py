@@ -18,7 +18,6 @@ prefix, like a real kernel oops header)::
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from repro.kernel.failures import CrashReport, Failure, FailureKind
 
@@ -42,17 +41,20 @@ def render_crash_report(report: CrashReport) -> str:
     return "\n".join(lines)
 
 
+#: ``(value, kind)`` of every failure kind, longest value first, so the
+#: first value prefixing a header is the longest one that does (kind
+#: values themselves contain colons, e.g. "KASAN: use-after-free").
+_KINDS_LONGEST_FIRST = tuple(sorted(
+    ((kind.value, kind) for kind in FailureKind),
+    key=lambda entry: -len(entry[0])))
+
+
 def _split_kind(header: str) -> tuple:
-    """Match the longest failure-kind value prefixing the header (kind
-    values themselves contain colons, e.g. "KASAN: use-after-free")."""
-    best: Optional[FailureKind] = None
-    for kind in FailureKind:
-        if header.startswith(kind.value):
-            if best is None or len(kind.value) > len(best.value):
-                best = kind
-    if best is None:
-        raise CrashParseError(f"unknown failure kind in {header!r}")
-    return best, header[len(best.value):]
+    """Split the longest failure-kind value off the front of a header."""
+    for value, kind in _KINDS_LONGEST_FIRST:
+        if header.startswith(value):
+            return kind, header[len(value):]
+    raise CrashParseError(f"unknown failure kind in {header!r}")
 
 
 def parse_crash_report(text: str) -> CrashReport:

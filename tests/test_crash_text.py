@@ -6,11 +6,18 @@ from hypothesis import strategies as st
 
 from repro.corpus.registry import get_bug
 from repro.kernel.failures import CrashReport, Failure, FailureKind
+from repro.kernel.threads import ThreadKind
+from repro.service.artifacts import CrashArtifact
+from repro.service.signature import signature_of
 from repro.trace.crash import (
     CrashParseError,
+    _split_kind,
     parse_crash_report,
     render_crash_report,
 )
+from repro.trace.events import KthreadInvocation, SyscallEvent
+from repro.trace.ftrace import render_ftrace
+from repro.trace.history import ExecutionHistory
 from repro.trace.syzkaller import run_bug_finder
 
 
@@ -175,3 +182,86 @@ class TestRenderParseProperty:
         assert parsed.location == failure.instr_label
         assert parsed.failure.message == failure.message
         assert parsed.kernel_log == log
+
+
+# -- property: the kind table finds what a scan of FailureKind finds ----
+def _scan_kind(header):
+    """The parser's former lookup, kept as the oracle: scan every kind
+    and keep the longest value that prefixes the header."""
+    best = None
+    for kind in FailureKind:
+        if header.startswith(kind.value):
+            if best is None or len(kind.value) > len(best.value):
+                best = kind
+    if best is None:
+        raise CrashParseError(f"unknown failure kind in {header!r}")
+    return best, header[len(best.value):]
+
+
+def _split_or_error(split, header):
+    try:
+        return split(header)
+    except CrashParseError as exc:
+        return str(exc)
+
+
+class TestKindTableProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(list(FailureKind)), rest=st.text(max_size=30))
+    def test_every_kind_followed_by_any_text(self, kind, rest):
+        header = kind.value + rest
+        assert _split_kind(header) == _scan_kind(header)
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(list(FailureKind)), cut=st.integers(0, 40),
+           rest=st.text(max_size=30))
+    def test_cut_kinds_and_other_headers(self, kind, cut, rest):
+        header = kind.value[:cut] + rest
+        assert (_split_or_error(_split_kind, header)
+                == _split_or_error(_scan_kind, header))
+
+
+# -- property: a .crash bundle round-trips, and its crash alone signs it -
+_BUG_ID = st.from_regex(r"[A-Z][A-Z0-9-]{0,15}", fullmatch=True)
+_TIME = st.floats(min_value=0, max_value=1e4, allow_nan=False)
+
+
+@st.composite
+def _histories(draw):
+    history = ExecutionHistory()
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.booleans()):
+            history.add(SyscallEvent(
+                timestamp=draw(_TIME), proc=draw(_NAME), name=draw(_NAME),
+                entry=draw(_NAME),
+                fd=draw(st.one_of(st.none(), st.integers(0, 64))),
+                duration=draw(_TIME), is_setup=draw(st.booleans())))
+        else:
+            history.add(KthreadInvocation(
+                timestamp=draw(_TIME),
+                kind=draw(st.sampled_from(list(ThreadKind))),
+                func=draw(_NAME), source_proc=draw(_NAME),
+                source_syscall=draw(st.one_of(st.just(""), _NAME)),
+                duration=draw(_TIME)))
+    history.failure_time = draw(st.one_of(st.none(), _TIME))
+    return history
+
+
+class TestBundleRoundTripProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(bug_id=_BUG_ID, failure=_failures(), log=_kernel_logs(),
+           history=_histories())
+    def test_parse_render_and_crash_only_signature(self, bug_id, failure,
+                                                   log, history):
+        artifact = CrashArtifact(
+            bug_id=bug_id,
+            crash_text=render_crash_report(
+                CrashReport(failure=failure, kernel_log=log)),
+            ftrace_text=render_ftrace(history))
+        assert CrashArtifact.parse(artifact.render()) == artifact
+        report = artifact.to_report()
+        assert render_ftrace(report.history) == artifact.ftrace_text
+        # Intake fingerprints the crash section alone; the worker's full
+        # parse must land on the same signature.
+        assert (signature_of(parse_crash_report(artifact.crash_text))
+                == signature_of(report.crash))

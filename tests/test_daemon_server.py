@@ -12,6 +12,8 @@ import json
 import os
 import time
 
+import pytest
+
 from repro.corpus.registry import get_bug
 from repro.daemon import (
     DaemonClient,
@@ -30,6 +32,12 @@ from repro.trace.syzkaller import run_bug_finder
 @functools.lru_cache(maxsize=None)
 def artifact_text(bug_id: str) -> str:
     return CrashArtifact.from_report(run_bug_finder(get_bug(bug_id))).render()
+
+
+def garbled_history_text() -> str:
+    """CVE-2017-2671's artifact with one ftrace line no parser accepts:
+    its crash section fingerprints, its history fails in the worker."""
+    return artifact_text("CVE-2017-2671") + "\nGARBAGE LINE here\n"
 
 
 def daemon_test(tmp_path, coro_fn, **overrides):
@@ -390,6 +398,88 @@ class TestRecoveryInProcess:
         assert calls == ["BUG-1", "BUG-3"]  # each owed job exactly once
         assert os.listdir(data_dir / "queue") == ["queue-00.journal"]
         assert os.listdir(data_dir / "store") == ["shard-00.jsonl"]
+
+
+def learning_diagnoser(payload):
+    """The stub's record plus an experience record, as a real diagnosis
+    that reproduced returns one."""
+    result = stub_diagnose_job(payload)
+    result["experience"] = {"kind": "experience", "version": 1,
+                            "bug_id": payload["bug_id"],
+                            "features": {"f": 1}}
+    return result
+
+
+class TestResultRecords:
+    def test_experience_is_stored_once_under_its_own_digest(self, tmp_path):
+        async def scenario(daemon, client):
+            text = artifact_text("SYZ-01")
+            accepted = (await client.submit(text)).json()
+            job = await client.wait_for_job(accepted["job_id"])
+            assert job["status"] == "succeeded"
+            assert "experience" not in job["result"]
+            await wait_until(lambda: daemon.metrics.count("completed") == 1)
+            hit = (await client.submit(text)).json()
+            assert hit["status"] == "cache_hit"
+            assert "experience" not in hit["result"]
+            record = daemon.store.get("exp:" + accepted["digest"])
+            assert record["features"] == {"f": 1}
+
+        daemon_test(tmp_path, scenario, diagnoser=learning_diagnoser)
+
+
+class TestMalformedInput:
+    def test_garbled_history_fails_as_in_batch_intake(self, tmp_path):
+        from repro import api
+
+        text = garbled_history_text()
+        intake = tmp_path / "intake"
+        intake.mkdir()
+        (intake / "bad.crash").write_text(text)
+        [batch] = api.triage(str(intake)).results
+        assert batch.outcome == "failed"
+        assert batch.error.startswith("FtraceParseError: ")
+
+        async def scenario(daemon, client):
+            accepted = (await client.submit(text)).json()
+            assert accepted["status"] == "accepted"
+            assert accepted["digest"] == batch.digest
+            job = await client.wait_for_job(accepted["job_id"])
+            assert job["status"] == "failed"
+            assert job["error"] == batch.error
+
+        daemon_test(tmp_path, scenario, diagnoser=None)
+
+    @pytest.mark.parametrize("bad", [
+        {"op": "push", "job_id": ["x"], "payload": {}},
+        {"op": "push", "job_id": "x:1", "payload": [1]},
+        {"op": "push", "job_id": "x:1", "payload": {"digest": ["d"]}},
+        {"op": "push", "job_id": "x:1", "payload": {}, "priority": "high"},
+        {"op": "push", "job_id": "x:1", "payload": {}, "timeout_s": "soon"},
+        {"op": "done", "job_id": ["x"]},
+    ])
+    def test_journal_line_of_wrong_field_types_is_skipped(self, tmp_path,
+                                                          bad):
+        digest = "0" * 16
+        owed = {"op": "push", "job_id": f"GOOD-1:{digest}",
+                "digest": digest, "priority": 0, "timeout_s": 300.0,
+                "payload": {"mode": "artifact", "digest": digest,
+                            "bug_id": "GOOD-1", "policy": "static"}}
+        queue_dir = tmp_path / "data" / "queue"
+        queue_dir.mkdir(parents=True)
+        (queue_dir / "queue-00.journal").write_text(
+            json.dumps(bad) + "\n" + json.dumps(owed) + "\n")
+
+        async def scenario(daemon, client):
+            assert daemon.queue.skipped_lines == 1
+            assert [j.job_id for j in daemon.queue.recovered] == [
+                owed["job_id"]]
+            health = await client.request("GET", "/healthz")
+            assert health.status == 200
+            assert health.json()["status"] == "ok"
+            await wait_until(lambda: daemon.metrics.count("completed") == 1)
+
+        daemon_test(tmp_path, scenario)
 
 
 class TestShutdown:

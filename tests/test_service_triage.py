@@ -1,6 +1,7 @@
 """Tests for the triage orchestrator, artifacts, metrics, and CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -14,13 +15,17 @@ from repro.service.artifacts import (
     emit_artifact,
     scan_directory,
 )
+from repro.policy import ExperienceIndex
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import JobOutcome
+from repro.service.signature import signature_of, signature_of_text
 from repro.service.store import ResultStore
 from repro.service.triage import TriageService, diagnose_job
 from repro.trace.crash import CrashParseError
 from repro.trace.ftrace import FtraceParseError
 from repro.trace.syzkaller import run_bug_finder
+
+from test_daemon_server import garbled_history_text
 
 BUG_IDS = [bug.bug_id for bug in all_bugs()]
 
@@ -143,6 +148,134 @@ class TestTriageService:
         assert "counters" in payload["metrics"]
         rendered = summary.render()
         assert "SYZ-04" in rendered and "totals:" in rendered
+
+
+def _write_malformed(case: str, directory) -> None:
+    """One ``bad.crash`` of each kind batch intake must survive."""
+    path = directory / "bad.crash"
+    if case == "not-utf8":
+        path.write_bytes(b"\xff\xfe\x80 not text\n")
+    elif case == "unknown-kind":
+        path.write_text("# aitia-crash-artifact v1\n# bug: SYZ-04\n"
+                        "# == crash ==\nBUG: bogus-kind in A at A1\n"
+                        "# == ftrace ==\n# tracer: aitia\n")
+    else:
+        path.write_text(garbled_history_text())
+
+
+class TestCrashOnlyIntake:
+    """Intake fingerprints the crash section alone: the history is
+    parsed by the worker, and only for a job that diagnoses."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("case", ["not-utf8", "unknown-kind"])
+    def test_malformed_bundle_or_crash_is_an_intake_error(self, tmp_path,
+                                                          case, jobs):
+        emit_artifact(get_bug("SYZ-04"), str(tmp_path))
+        _write_malformed(case, tmp_path)
+        service = TriageService(jobs=jobs)
+        summary = api.triage(str(tmp_path), service=service)
+        assert [(r.bug_id, r.outcome) for r in summary.results] == [
+            ("SYZ-04", "succeeded")]
+        assert service.metrics.count("intake_errors") == 1
+        assert service.metrics.count("reports_submitted") == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_garbled_history_fails_its_own_job(self, tmp_path, jobs):
+        emit_artifact(get_bug("SYZ-04"), str(tmp_path))
+        _write_malformed("garbled-history", tmp_path)
+        summary = api.triage(str(tmp_path), jobs=jobs)
+        outcomes = {r.bug_id: (r.outcome, r.error) for r in summary.results}
+        assert outcomes == {
+            "SYZ-04": ("succeeded", ""),
+            "CVE-2017-2671": (
+                "failed",
+                "FtraceParseError: bad timestamp in 'GARBAGE LINE here'")}
+        assert "intake_errors" not in summary.metrics["counters"]
+
+    @pytest.mark.parametrize("case,code", [
+        ("not-utf8", 0), ("unknown-kind", 0), ("garbled-history", 1)])
+    def test_cli_reports_instead_of_raising(self, capsys, tmp_path, case,
+                                            code):
+        emit_artifact(get_bug("SYZ-04"), str(tmp_path))
+        _write_malformed(case, tmp_path)
+        assert main(["triage", str(tmp_path), "--jobs", "2"]) == code
+        assert "totals: 1 succeeded" in capsys.readouterr().out
+
+    def test_warm_intake_never_parses_the_history(self, tmp_path,
+                                                  monkeypatch):
+        intake = tmp_path / "intake"
+        intake.mkdir()
+        for bug_id in ("SYZ-04", "CVE-2017-2671"):
+            emit_artifact(get_bug(bug_id), str(intake))
+        store = str(tmp_path / "store.jsonl")
+        service = TriageService(store=ResultStore(store))
+        jobs = service.intake_directory(str(intake))
+        cold = service.run()
+        assert cold.all_ok
+        assert all("artifact" in job.payload for job in jobs)
+
+        def no_history(self):
+            raise AssertionError("intake parsed an ftrace history")
+
+        monkeypatch.setattr(CrashArtifact, "to_report", no_history)
+        service = TriageService(store=ResultStore(store))
+        jobs = service.intake_directory(str(intake))
+        warm = service.run()
+        assert [r.outcome for r in warm.results] == ["cache_hit"] * 2
+        assert [r.chain for r in warm.results] == [
+            r.chain for r in cold.results]
+        # A cache hit never renders the artifact into a payload.
+        assert not any("artifact" in job.payload for job in jobs)
+
+    @pytest.mark.parametrize("bug_id", BUG_IDS)
+    def test_intake_daemon_and_full_parse_give_one_digest(self, bug_id):
+        artifact = CrashArtifact.from_report(run_bug_finder(get_bug(bug_id)))
+        job = TriageService().submit_artifact(artifact)
+        assert job.payload["digest"] == signature_of_text(
+            artifact.crash_text).digest == signature_of(
+            artifact.to_report().crash).digest
+
+    def test_scan_matches_listdir_and_isfile(self, tmp_path):
+        for name in ("b.crash", "a.crash", "notes.txt", "c.crash.bak"):
+            (tmp_path / name).write_text("x")
+        (tmp_path / "dir.crash").mkdir()
+        os.symlink(str(tmp_path / "a.crash"), str(tmp_path / "link.crash"))
+        os.symlink(str(tmp_path / "gone"), str(tmp_path / "broken.crash"))
+        os.symlink(str(tmp_path / "dir.crash"),
+                   str(tmp_path / "dirlink.crash"))
+        path = str(tmp_path)
+        oracle = sorted(
+            os.path.join(path, name) for name in os.listdir(path)
+            if name.endswith(".crash")
+            and os.path.isfile(os.path.join(path, name)))
+        assert scan_directory(path) == oracle == [
+            os.path.join(path, name)
+            for name in ("a.crash", "b.crash", "link.crash")]
+
+
+class TestResultRecords:
+    def test_experience_is_stored_once_under_its_own_digest(self, tmp_path):
+        path = str(tmp_path / "store.jsonl")
+        [result] = api.triage([get_bug("SYZ-04")], store=path).results
+        store = ResultStore(path)
+        assert len(store) == 2
+        assert "experience" not in store.get(result.digest)
+        assert store.get("exp:" + result.digest)["kind"] == "experience"
+
+    def test_store_with_embedded_experience_still_reads(self, tmp_path):
+        path = str(tmp_path / "store.jsonl")
+        [fresh] = api.triage([get_bug("SYZ-04")], store=path).results
+        # Rewrite the result the way stores were written before it
+        # stopped embedding the experience record.
+        store = ResultStore(path)
+        store.put(fresh.digest, dict(
+            store.get(fresh.digest),
+            experience=store.get("exp:" + fresh.digest)))
+        assert ExperienceIndex().load(ResultStore(path)) == 1
+        [warm] = api.triage([get_bug("SYZ-04")], store=path).results
+        assert warm.outcome == "cache_hit"
+        assert warm.chain == fresh.chain
 
 
 class TestServiceMetrics:
